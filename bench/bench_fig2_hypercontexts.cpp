@@ -65,10 +65,9 @@ int main(int argc, char** argv) {
   ga_config.population = bench::pick<std::size_t>(smoke, 96, 24);
   ga_config.generations = bench::pick<std::size_t>(smoke, 400, 40);
   ga_config.seed = 2004;
-  const auto descent =
-      solve_genetic(multi, shyra::multi_task_machine(), paper_options(),
-                    ga_config)
-          .best;
+  const SolveInstance instance(multi, shyra::multi_task_machine(),
+                               paper_options());
+  const auto descent = solve_genetic(instance, ga_config).best;
   std::printf("\nmultiple task case: %zu partial hyperreconfiguration steps, "
               "cost %lld\n",
               descent.schedule.partial_hyper_steps(),

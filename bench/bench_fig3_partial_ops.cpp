@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   ga_config.generations = bench::pick<std::size_t>(smoke, 400, 40);
   ga_config.seed = 2004;
   const auto solution =
-      solve_genetic(multi, machine, options, ga_config).best;
+      solve_genetic(SolveInstance(multi, machine, options), ga_config).best;
 
   // Collect the steps with at least one partial hyperreconfiguration.
   std::vector<std::size_t> hyper_steps;

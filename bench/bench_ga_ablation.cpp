@@ -50,13 +50,12 @@ int main(int argc, char** argv) {
       config.task_config.phases = 2;
       const auto trace = workload::make_multi_phased(config, seed);
       const auto machine = MachineSpec::uniform_local(2, 6);
-      const Cost best =
-          solve_exhaustive(trace, machine, paper_options()).total();
+      const SolveInstance instance(trace, machine, paper_options());
+      const Cost best = solve_exhaustive(instance).total();
 
       const auto solvers = standard_solvers();
       for (std::size_t s = 0; s < solvers.size(); ++s) {
-        const Cost cost =
-            solvers[s].solve(trace, machine, paper_options()).total();
+        const Cost cost = solvers[s].solve(instance).total();
         const double gap = 100.0 *
                            static_cast<double>(cost - best) /
                            static_cast<double>(best);
@@ -84,11 +83,12 @@ int main(int argc, char** argv) {
   const auto multi = shyra::to_multi_task_trace(run.trace);
   const auto machine = shyra::multi_task_machine();
   const Cost baseline = no_hyperreconfiguration_cost(machine, multi.steps());
+  const SolveInstance instance(multi, machine, paper_options());
 
   Table table;
   table.headers({"solver", "cost", "% of baseline", "partial hyper steps"});
   for (const auto& solver : standard_solvers()) {
-    const auto solution = solver.solve(multi, machine, paper_options());
+    const auto solution = solver.solve(instance);
     table.row(solver.name, solution.total(),
               percent_of(solution.total(), baseline),
               solution.schedule.partial_hyper_steps());
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   config.population = bench::pick<std::size_t>(smoke, 96, 24);
   config.generations = bench::pick<std::size_t>(smoke, 400, 40);
   config.seed = 2004;
-  const auto ga = solve_genetic(multi, machine, paper_options(), config);
+  const auto ga = solve_genetic(instance, config);
   std::printf("\nGA convergence (generation, best cost):\n");
   for (std::size_t g = 0; g < ga.history.size(); g += 20) {
     std::printf("  %4zu  %lld\n", g,

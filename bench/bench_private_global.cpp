@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
       machine.private_global_units = g;
       machine.global_init = w;
       try {
-        const auto result = solve_private_global(trace, machine);
+        const auto result = solve_private_global(SolveInstance(trace, machine));
         table.row(g, w, result.solution.total(),
                   result.solution.schedule.global_boundaries.size(), "yes");
       } catch (const PreconditionError&) {

@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
     offline.parallel = false;
     const Clock::time_point offline_start = Clock::now();
     const engine::PortfolioResult offline_result =
-        engine::solve_portfolio(trace, machine, EvalOptions{}, offline);
+        engine::solve_portfolio(SolveInstance(trace, machine), offline);
     const double offline_s = seconds_since(offline_start);
 
     study.row(family, static_cast<std::uint64_t>(engine.resolve_count()),

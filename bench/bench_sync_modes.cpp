@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
     const EvalOptions base_options{UploadMode::kTaskParallel,
                                    UploadMode::kTaskSequential, false};
     const auto schedule =
-        solve_coordinate_descent(trace, machine, base_options).schedule;
+        solve_coordinate_descent(SolveInstance(trace, machine, base_options))
+            .schedule;
 
     Table table(std::string("workload: ") + family.name +
                 "  (baseline no-hyper = " + std::to_string(baseline) + ")");

@@ -50,9 +50,9 @@ int main(int argc, char** argv) {
   ga_config.population = bench::pick<std::size_t>(smoke, 96, 24);
   ga_config.generations = bench::pick<std::size_t>(smoke, 400, 40);
   ga_config.seed = 2004;
-  const auto ga = solve_genetic(multi, machine4, paper_options(), ga_config);
-  const auto descent =
-      solve_coordinate_descent(multi, machine4, paper_options());
+  const SolveInstance instance(multi, machine4, paper_options());
+  const auto ga = solve_genetic(instance, ga_config);
+  const auto descent = solve_coordinate_descent(instance);
   const MTSolution& multi_best =
       ga.best.total() <= descent.total() ? ga.best : descent;
 

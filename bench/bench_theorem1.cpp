@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
     const auto machine = MachineSpec::uniform_local(2, 6);
 
     const auto t0 = std::chrono::steady_clock::now();
-    const auto exhaustive = solve_exhaustive(trace, machine, options);
+    const auto exhaustive =
+        solve_exhaustive(SolveInstance(trace, machine, options));
     const double exhaustive_s = seconds(t0);
 
     const auto t1 = std::chrono::steady_clock::now();
@@ -84,12 +85,14 @@ int main(int argc, char** argv) {
     const auto dp = solve_theorem1_dp(trace, machine, options);
     const double dp_s = seconds(t0);
 
-    const auto descent = solve_coordinate_descent(trace, machine, options);
+    const auto descent =
+        solve_coordinate_descent(SolveInstance(trace, machine, options));
     GaConfig ga_config;
     ga_config.population = bench::pick<std::size_t>(smoke, 64, 16);
     ga_config.generations = bench::pick<std::size_t>(smoke, 200, 40);
     ga_config.seed = 3;
-    const auto ga = solve_genetic(trace, machine, options, ga_config);
+    const auto ga =
+        solve_genetic(SolveInstance(trace, machine, options), ga_config);
 
     char space[32];
     std::snprintf(space, sizeof space, "2^%zu", 2 * (n - 1));

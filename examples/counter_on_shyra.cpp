@@ -53,8 +53,8 @@ int main() {
 
   const EvalOptions options{UploadMode::kTaskParallel,
                             UploadMode::kTaskSequential, false};
-  const auto multi_opt =
-      solve_coordinate_descent(multi, multi_task_machine(), options);
+  const auto multi_opt = solve_coordinate_descent(
+      SolveInstance(multi, multi_task_machine(), options));
 
   std::printf("\nMT-Switch cost model results (cf. paper §6):\n");
   std::printf("  hyperreconfiguration disabled: %5lld (100.0%%)\n",

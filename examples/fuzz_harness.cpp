@@ -17,7 +17,11 @@
 //                random instance through solve_hierarchical with a tiny
 //                segment (forcing the fan-out/stitch/boundary-DP/seam-repair
 //                path) and checks the spliced schedule, re-evaluated cost
-//                and the certificate bracket lower_bound <= optimum <= cost
+//                and the certificate bracket lower_bound <= optimum <= cost;
+//                on half the iterations the pool is shrunk so the boundary
+//                DP must split blocks, and the optimum comes from
+//                solve_private_global (exhaustive blocks, every step a
+//                candidate) instead
 //
 // Each iteration draws a random instance small enough for solve_exhaustive
 // (random workload family, task count, step count, universes, machine costs,
@@ -44,10 +48,12 @@
 
 #include "core/exhaustive.hpp"
 #include "core/hierarchical.hpp"
+#include "core/private_global.hpp"
 #include "core/solver.hpp"
 #include "io/trace_io.hpp"
 #include "model/cost_switch.hpp"
 #include "model/instance.hpp"
+#include "model/trace_stats.hpp"
 #include "streaming/stream_multiplexer.hpp"
 #include "support/rng.hpp"
 #include "workload/generators.hpp"
@@ -300,8 +306,17 @@ bool check_mux_iteration(std::uint64_t seed) {
 /// step fuzz traces genuinely exercise the segment fan-out, stitch, boundary
 /// DP and seam repair.  Oracles: the spliced schedule validates, the
 /// reported cost equals an independent re-evaluation, the cost is bounded
-/// below by the exhaustive optimum, and the attached certificate brackets it
+/// below by the optimum, and the attached certificate brackets it
 /// (lower_bound <= optimum <= hierarchical cost).
+///
+/// The drawn pool covers the worst-case quota sum, so one block always
+/// fits.  On half the iterations every step of every task gets its own
+/// private demand instead, and the pool is drawn from at least the largest
+/// per-segment quota sum (every segment still fits) up to below the
+/// whole-trace quota sum, so the boundary DP has blocks to split.  A single
+/// block is then infeasible for solve_exhaustive, and the optimum is
+/// solve_private_global with exhaustive blocks and every step a candidate —
+/// exact, since global blocks cost independently without changeover.
 bool check_hierarchical_iteration(std::uint64_t seed) {
   Xoshiro256 rng(seed * 0x9E3779B97F4A7C15ull + 0x41E12);
   FuzzInstance fuzz = draw_instance(rng);
@@ -310,13 +325,72 @@ bool check_hierarchical_iteration(std::uint64_t seed) {
   HierarchicalConfig config;
   config.segment = 2 + rng.uniform(2);  // 2..3: always multi-segment
   config.seam_repair = rng.flip(0.7);
-  config.parallel = false;  // deterministic reproducers
+  const bool split_pool = rng.flip(0.5);
+  if (split_pool) {
+    // The drawn demand curve (if any) peaks in every task at once, which no
+    // block boundary can relieve; mostly idle per-step demands rarely
+    // coincide.
+    const std::uint64_t high = 1 + rng.uniform(3);
+    fuzz.machine.global_init = static_cast<Cost>(1 + rng.uniform(6));
+    MultiTaskTrace shifted;
+    for (std::size_t j = 0; j < fuzz.trace.task_count(); ++j) {
+      TaskTrace task(fuzz.trace.task(j).local_universe());
+      for (std::size_t i = 0; i < fuzz.trace.steps(); ++i) {
+        ContextRequirement req = fuzz.trace.task(j).at(i);
+        req.private_demand = static_cast<std::uint32_t>(
+            rng.flip(0.6) ? 0 : 1 + rng.uniform(high));
+        task.push_back(std::move(req));
+      }
+      shifted.add_task(std::move(task));
+    }
+    fuzz.trace = std::move(shifted);
+    const MultiTaskTraceStats stats(fuzz.trace);
+    const std::size_t n = fuzz.trace.steps();
+    std::uint64_t segment_max = 1;  // solve_private_global needs a pool
+    for (std::size_t lo = 0; lo < n; lo += config.segment) {
+      segment_max = std::max(segment_max,
+                             stats.block_quota_sum(
+                                 lo, std::min(n, lo + config.segment)));
+    }
+    // Below the whole-trace sum whenever it exceeds every segment's, so
+    // at least one block boundary is mandatory.
+    const std::uint64_t whole = stats.block_quota_sum(0, n);
+    fuzz.machine.private_global_units =
+        whole > segment_max ? segment_max + rng.uniform(whole - segment_max)
+                            : segment_max;
+  }
   const std::string tag =
       "hierarchical[segment=" + std::to_string(config.segment) +
-      (config.seam_repair ? ",repair" : "") + "]";
+      (config.seam_repair ? ",repair" : "") +
+      (split_pool ? ",split-pool" : "") + "]";
 
   const SolveInstance instance(fuzz.trace, fuzz.machine, fuzz.options);
-  const Cost optimum = solve_exhaustive(instance).total();
+  Cost optimum = 0;
+  if (split_pool) {
+    PrivateGlobalConfig exact;
+    exact.inner = [](const SolveInstance& block, const CancelToken&) {
+      return solve_exhaustive(block);
+    };
+    try {
+      const MTSolution blocks = solve_private_global(instance, exact).solution;
+      const Cost replay =
+          evaluate_fully_sync_switch(instance, blocks.schedule).total;
+      if (replay != blocks.total()) {
+        dump_reproducer(fuzz, seed, "private-global",
+                        "reported cost " + std::to_string(blocks.total()) +
+                            " != re-evaluated cost " +
+                            std::to_string(replay));
+        return false;
+      }
+      optimum = blocks.total();
+    } catch (const std::exception& error) {
+      dump_reproducer(fuzz, seed, "private-global",
+                      std::string("solver threw: ") + error.what());
+      return false;
+    }
+  } else {
+    optimum = solve_exhaustive(instance).total();
+  }
   HierarchicalResult result;
   try {
     result = solve_hierarchical(instance, config);
@@ -345,8 +419,7 @@ bool check_hierarchical_iteration(std::uint64_t seed) {
   if (solution.total() < optimum) {
     dump_reproducer(fuzz, seed, tag,
                     "cost " + std::to_string(solution.total()) +
-                        " beats the exhaustive optimum " +
-                        std::to_string(optimum));
+                        " beats the optimum " + std::to_string(optimum));
     return false;
   }
   if (!solution.lower_bound.has_value()) {
@@ -356,8 +429,7 @@ bool check_hierarchical_iteration(std::uint64_t seed) {
   if (*solution.lower_bound > optimum) {
     dump_reproducer(fuzz, seed, tag,
                     "lower bound " + std::to_string(*solution.lower_bound) +
-                        " exceeds the exhaustive optimum " +
-                        std::to_string(optimum));
+                        " exceeds the optimum " + std::to_string(optimum));
     return false;
   }
   return true;
@@ -397,7 +469,7 @@ int main(int argc, char** argv) {
         if (!check_hierarchical_iteration(seed + iter)) return 1;
       }
       std::printf("fuzz_harness: %zu hierarchical solves consistent with the "
-                  "exhaustive oracle and their certificates "
+                  "exact optimum and their certificates "
                   "(seeds %llu..%llu)\n",
                   iters, static_cast<unsigned long long>(seed),
                   static_cast<unsigned long long>(seed + iters - 1));

@@ -45,8 +45,9 @@ int main() {
 
   std::printf("%-16s %10s %10s %8s\n", "solver", "cost", "% of base",
               "#hyper");
+  const SolveInstance instance(trace, machine, options);
   for (const auto& solver : standard_solvers()) {
-    const MTSolution solution = solver.solve(trace, machine, options);
+    const MTSolution solution = solver.solve(instance);
     std::printf("%-16s %10lld %9.1f%% %8zu\n", solver.name.c_str(),
                 static_cast<long long>(solution.total()),
                 100.0 * static_cast<double>(solution.total()) /

@@ -1,22 +1,14 @@
 #include "core/aligned_dp.hpp"
 
-#include <limits>
+#include "support/cost_math.hpp"
 
 namespace hyperrec {
 
 namespace {
-constexpr Cost kInfinity = std::numeric_limits<Cost>::max() / 4;
-
 Cost combine(UploadMode mode, Cost acc, Cost value) {
   return mode == UploadMode::kTaskParallel ? std::max(acc, value) : acc + value;
 }
 }  // namespace
-
-MTSolution solve_aligned_dp(const MultiTaskTrace& trace,
-                            const MachineSpec& machine,
-                            const EvalOptions& options) {
-  return solve_aligned_dp(SolveInstance(trace, machine, options));
-}
 
 MTSolution solve_aligned_dp(const SolveInstance& instance) {
   const MultiTaskTrace& trace = instance.trace();
@@ -37,7 +29,7 @@ MTSolution solve_aligned_dp(const SolveInstance& instance) {
         combine(options.hyper_upload, hyper_term, machine.tasks[j].local_init);
   }
 
-  std::vector<Cost> best(n + 1, kInfinity);
+  std::vector<Cost> best(n + 1, kCostInfinity);
   std::vector<std::size_t> parent(n + 1, 0);
   best[0] = 0;
 

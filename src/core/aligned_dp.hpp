@@ -23,9 +23,4 @@ namespace hyperrec {
 /// Exact aligned-boundary solution under the instance's evaluation options.
 [[nodiscard]] MTSolution solve_aligned_dp(const SolveInstance& instance);
 
-/// Boundary convenience: builds a one-off instance.
-[[nodiscard]] MTSolution solve_aligned_dp(const MultiTaskTrace& trace,
-                                          const MachineSpec& machine,
-                                          const EvalOptions& options = {});
-
 }  // namespace hyperrec

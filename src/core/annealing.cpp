@@ -6,12 +6,6 @@
 
 namespace hyperrec {
 
-MTSolution solve_annealing(const MultiTaskTrace& trace,
-                           const MachineSpec& machine,
-                           const EvalOptions& options, const SaConfig& config) {
-  return solve_annealing(SolveInstance(trace, machine, options), config);
-}
-
 MTSolution solve_annealing(const SolveInstance& instance,
                            const SaConfig& config) {
   const MultiTaskTrace& trace = instance.trace();

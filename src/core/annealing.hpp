@@ -29,10 +29,4 @@ struct SaConfig {
 [[nodiscard]] MTSolution solve_annealing(const SolveInstance& instance,
                                          const SaConfig& config = {});
 
-/// Boundary convenience: builds a one-off instance.
-[[nodiscard]] MTSolution solve_annealing(const MultiTaskTrace& trace,
-                                         const MachineSpec& machine,
-                                         const EvalOptions& options = {},
-                                         const SaConfig& config = {});
-
 }  // namespace hyperrec

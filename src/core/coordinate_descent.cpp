@@ -8,8 +8,6 @@ namespace hyperrec {
 
 namespace {
 
-constexpr Cost kInfinity = kCostInfinity;
-
 Cost combine(UploadMode mode, Cost acc, Cost value) {
   return mode == UploadMode::kTaskParallel ? std::max(acc, value)
                                            : cost_add(acc, value);
@@ -61,7 +59,7 @@ Partition optimize_task(const SolveInstance& instance,
   const std::size_t n = task.size();
   const Cost v = instance.machine().tasks[t].local_init;
 
-  std::vector<Cost> best(n + 1, kInfinity);
+  std::vector<Cost> best(n + 1, kCostInfinity);
   std::vector<std::size_t> parent(n + 1, 0);
   best[0] = 0;
 
@@ -119,7 +117,7 @@ Partition optimize_task(const SolveInstance& instance,
       const Cost hyper_with =
           combine(options.hyper_upload, profile.hyper[start], v);
       Cost interval_cost = hyper_with - profile.hyper[start];
-      if (sequential && size <= kInfinity - max_reconfig) {
+      if (sequential && size <= kCostInfinity - max_reconfig) {
         interval_cost = cost_add(
             interval_cost, cost_mul(size, static_cast<Cost>(end - start)));
       } else {
@@ -148,14 +146,6 @@ Partition optimize_task(const SolveInstance& instance,
 }
 
 }  // namespace
-
-MTSolution solve_coordinate_descent(const MultiTaskTrace& trace,
-                                    const MachineSpec& machine,
-                                    const EvalOptions& options,
-                                    const CoordinateDescentConfig& config) {
-  return solve_coordinate_descent(SolveInstance(trace, machine, options),
-                                  config);
-}
 
 MTSolution solve_coordinate_descent(const SolveInstance& instance,
                                     const CoordinateDescentConfig& config) {

@@ -38,10 +38,4 @@ struct CoordinateDescentConfig {
 [[nodiscard]] MTSolution solve_coordinate_descent(
     const SolveInstance& instance, const CoordinateDescentConfig& config = {});
 
-/// Boundary convenience: builds a one-off instance.
-[[nodiscard]] MTSolution solve_coordinate_descent(
-    const MultiTaskTrace& trace, const MachineSpec& machine,
-    const EvalOptions& options = {},
-    const CoordinateDescentConfig& config = {});
-
 }  // namespace hyperrec

@@ -1,15 +1,11 @@
 #include "core/dag_dp.hpp"
 
 #include <algorithm>
-#include <limits>
 
+#include "support/cost_math.hpp"
 #include "support/ensure.hpp"
 
 namespace hyperrec {
-
-namespace {
-constexpr Cost kInfinity = std::numeric_limits<Cost>::max() / 4;
-}
 
 DagSolution solve_dag_dp(const DagCostModel& model,
                          const std::vector<std::size_t>& sequence) {
@@ -19,7 +15,7 @@ DagSolution solve_dag_dp(const DagCostModel& model,
     HYPERREC_ENSURE(kind < model.kind_count(), "context kind out of range");
   }
 
-  std::vector<Cost> best(n + 1, kInfinity);
+  std::vector<Cost> best(n + 1, kCostInfinity);
   std::vector<std::size_t> parent(n + 1, 0);
   std::vector<std::size_t> chosen(n + 1, 0);
   best[0] = 0;
@@ -39,7 +35,7 @@ DagSolution solve_dag_dp(const DagCostModel& model,
       }
     }
   }
-  HYPERREC_ENSURE(best[n] < kInfinity,
+  HYPERREC_ENSURE(best[n] < kCostInfinity,
                   "no hypercontext satisfies some requirement");
 
   DagSolution solution;
@@ -70,7 +66,7 @@ MtDagSolution solve_mt_dag_aligned(
                     "aligned MT-DAG requires equal-length sequences");
   }
 
-  std::vector<Cost> best(n + 1, kInfinity);
+  std::vector<Cost> best(n + 1, kCostInfinity);
   std::vector<std::size_t> parent(n + 1, 0);
   std::vector<std::vector<std::size_t>> chosen(n + 1,
                                                std::vector<std::size_t>(m));
@@ -107,7 +103,7 @@ MtDagSolution solve_mt_dag_aligned(
       }
     }
   }
-  HYPERREC_ENSURE(best[n] < kInfinity,
+  HYPERREC_ENSURE(best[n] < kCostInfinity,
                   "no hypercontext satisfies some requirement");
 
   MtDagSolution solution;

@@ -9,12 +9,6 @@ double exhaustive_search_space(std::size_t m, std::size_t n) {
   return std::pow(2.0, static_cast<double>(m * (n - 1)));
 }
 
-MTSolution solve_exhaustive(const MultiTaskTrace& trace,
-                            const MachineSpec& machine,
-                            const EvalOptions& options) {
-  return solve_exhaustive(SolveInstance(trace, machine, options));
-}
-
 MTSolution solve_exhaustive(const SolveInstance& instance) {
   const MultiTaskTrace& trace = instance.trace();
   const MachineSpec& machine = instance.machine();

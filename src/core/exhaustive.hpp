@@ -14,11 +14,6 @@ namespace hyperrec {
 
 [[nodiscard]] MTSolution solve_exhaustive(const SolveInstance& instance);
 
-/// Boundary convenience: builds a one-off instance.
-[[nodiscard]] MTSolution solve_exhaustive(const MultiTaskTrace& trace,
-                                          const MachineSpec& machine,
-                                          const EvalOptions& options = {});
-
 /// Number of schedules solve_exhaustive would enumerate; lets callers guard.
 [[nodiscard]] double exhaustive_search_space(std::size_t m, std::size_t n);
 

@@ -1,15 +1,11 @@
 #include "core/general_dp.hpp"
 
 #include <algorithm>
-#include <limits>
 
+#include "support/cost_math.hpp"
 #include "support/ensure.hpp"
 
 namespace hyperrec {
-
-namespace {
-constexpr Cost kInfinity = std::numeric_limits<Cost>::max() / 4;
-}
 
 GeneralSolution solve_general_dp(const GeneralCostModel& model,
                                  const std::vector<std::size_t>& sequence) {
@@ -19,7 +15,7 @@ GeneralSolution solve_general_dp(const GeneralCostModel& model,
     HYPERREC_ENSURE(kind < model.kind_count(), "context kind out of range");
   }
 
-  std::vector<Cost> best(n + 1, kInfinity);
+  std::vector<Cost> best(n + 1, kCostInfinity);
   std::vector<std::size_t> parent(n + 1, 0);
   std::vector<std::size_t> chosen(n + 1, 0);
   best[0] = 0;
@@ -29,7 +25,7 @@ GeneralSolution solve_general_dp(const GeneralCostModel& model,
     for (std::size_t start = end; start-- > 0;) {
       needed.set(sequence[start]);
       // Cheapest hypercontext for this interval.
-      Cost interval_best = kInfinity;
+      Cost interval_best = kCostInfinity;
       std::size_t interval_h = model.hypercontext_count();
       const Cost len = static_cast<Cost>(end - start);
       for (std::size_t h = 0; h < model.hypercontext_count(); ++h) {
@@ -49,7 +45,7 @@ GeneralSolution solve_general_dp(const GeneralCostModel& model,
       }
     }
   }
-  HYPERREC_ENSURE(best[n] < kInfinity,
+  HYPERREC_ENSURE(best[n] < kCostInfinity,
                   "no hypercontext satisfies some requirement");
 
   GeneralSolution solution;

@@ -86,11 +86,6 @@ void mutate(Chromosome& genes, double rate, Xoshiro256& rng) {
 
 }  // namespace
 
-GaResult solve_genetic(const MultiTaskTrace& trace, const MachineSpec& machine,
-                       const EvalOptions& options, const GaConfig& config) {
-  return solve_genetic(SolveInstance(trace, machine, options), config);
-}
-
 GaResult solve_genetic(const SolveInstance& instance, const GaConfig& config) {
   const MultiTaskTrace& trace = instance.trace();
   const MachineSpec& machine = instance.machine();

@@ -56,10 +56,4 @@ struct GaResult {
 [[nodiscard]] GaResult solve_genetic(const SolveInstance& instance,
                                      const GaConfig& config = {});
 
-/// Boundary convenience: builds a one-off instance.
-[[nodiscard]] GaResult solve_genetic(const MultiTaskTrace& trace,
-                                     const MachineSpec& machine,
-                                     const EvalOptions& options = {},
-                                     const GaConfig& config = {});
-
 }  // namespace hyperrec

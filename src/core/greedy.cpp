@@ -4,12 +4,6 @@
 
 namespace hyperrec {
 
-MTSolution solve_greedy(const MultiTaskTrace& trace, const MachineSpec& machine,
-                        const EvalOptions& options,
-                        const GreedyConfig& config) {
-  return solve_greedy(SolveInstance(trace, machine, options), config);
-}
-
 MTSolution solve_greedy(const SolveInstance& instance,
                         const GreedyConfig& config) {
   const MultiTaskTrace& trace = instance.trace();

@@ -20,10 +20,4 @@ struct GreedyConfig {
 [[nodiscard]] MTSolution solve_greedy(const SolveInstance& instance,
                                       const GreedyConfig& config = {});
 
-/// Boundary convenience: builds a one-off instance.
-[[nodiscard]] MTSolution solve_greedy(const MultiTaskTrace& trace,
-                                      const MachineSpec& machine,
-                                      const EvalOptions& options = {},
-                                      const GreedyConfig& config = {});
-
 }  // namespace hyperrec

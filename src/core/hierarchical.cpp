@@ -3,48 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cache/fingerprint.hpp"
-#include "model/trace_stats.hpp"
+#include "core/segments.hpp"
+#include "support/thread_pool.hpp"
 
 namespace hyperrec {
-
-namespace {
-
-constexpr Cost kInfinity = std::numeric_limits<Cost>::max() / 4;
-
-/// Σ_j max-demand_j([lo, hi)) ≤ g — same block-feasibility rule as the
-/// evaluator's quota check, O(1) per task from the precomputed stats.
-bool block_feasible(const SolveInstance& instance, std::size_t lo,
-                    std::size_t hi) {
-  const std::uint32_t pool = instance.machine().private_global_units;
-  if (pool == 0) return true;
-  std::uint64_t quota_sum = 0;
-  for (std::size_t j = 0; j < instance.task_count(); ++j) {
-    quota_sum += instance.task_stats(j).max_private_demand(lo, hi);
-  }
-  return quota_sum <= pool;
-}
-
-/// A segment solution must treat its window as one global block: extra
-/// global boundaries would be dropped by the stitch (same invariant as
-/// solve_private_global's inner solvers).
-void check_segment_shape(const MTSolution& solution,
-                         const MachineSpec& machine) {
-  static const std::vector<std::size_t> kSingleBlock{0};
-  if (machine.has_global_resources()) {
-    HYPERREC_ENSURE(solution.schedule.global_boundaries == kSingleBlock,
-                    "segment solver split its window with extra global "
-                    "hyperreconfigurations; the boundary DP owns the block "
-                    "structure");
-  }
-}
-
-}  // namespace
 
 HierarchicalResult solve_hierarchical(const SolveInstance& instance,
                                       const HierarchicalConfig& config) {
@@ -68,7 +35,7 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
   HierarchicalResult result;
 
   // Flat fallback: one window covers the whole trace.
-  if (n <= config.segment || m == 0) {
+  if (n <= config.segment) {
     result.segments = 1;
     if (config.cache) {
       cache::CacheOutcome outcome = cache::CacheOutcome::kMiss;
@@ -105,7 +72,9 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
   // segmentation is the only remedy, so fail with that advice up front
   // instead of letting every portfolio member die on the quota check.
   for (std::size_t k = 0; k < segments; ++k) {
-    HYPERREC_ENSURE(block_feasible(instance, seg_starts[k], seg_end(k)),
+    HYPERREC_ENSURE(instance.stats().block_quota_sum(seg_starts[k],
+                                                     seg_end(k)) <=
+                        machine.private_global_units,
                     "a segment exceeds the private-global pool on its own; "
                     "shrink HierarchicalConfig::segment");
   }
@@ -121,12 +90,7 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
   std::atomic<std::size_t> hits{0};
   auto solve_segment = [&](std::size_t k) noexcept {
     try {
-      const std::size_t lo = seg_starts[k];
-      const std::size_t hi = seg_end(k);
-      MultiTaskTrace sub;
-      for (std::size_t j = 0; j < m; ++j) {
-        sub.add_task(trace.task(j).slice(lo, hi));
-      }
+      MultiTaskTrace sub = trace.slice(seg_starts[k], seg_end(k));
       if (config.cache) {
         cache::CacheOutcome outcome = cache::CacheOutcome::kMiss;
         const cache::InstanceKey key =
@@ -148,14 +112,19 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
         seg_solutions[k] =
             engine::solve_portfolio(window, member, config.cancel).best;
       }
-      check_segment_shape(seg_solutions[k], seg_machine);
+      if (machine.has_global_resources()) {
+        ensure_single_block(seg_solutions[k].schedule);
+      }
     } catch (const std::exception& e) {
       seg_errors[k] = e.what();
     }
   };
 
-  ThreadPool& pool = config.pool ? *config.pool : ThreadPool::global();
-  if (config.parallel && segments > 1 && !pool.on_worker_thread()) {
+  // Segments fan out over the global pool; a caller already running on one
+  // of its workers solves them serially (same no-work-stealing rule as the
+  // portfolio racer).
+  ThreadPool& pool = ThreadPool::global();
+  if (!pool.on_worker_thread()) {
     std::vector<std::future<void>> futures;
     futures.reserve(segments);
     for (std::size_t k = 0; k < segments; ++k) {
@@ -173,50 +142,28 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
   }
   result.cache_hits = hits.load(std::memory_order_relaxed);
 
-  // Stitch: concatenate per-task partition starts.  Each window's partition
-  // starts at its local step 0, so every segment start is a boundary of
-  // every task and the splice is valid by construction.
-  std::vector<std::vector<std::size_t>> task_starts(m);
-  for (std::size_t j = 0; j < m; ++j) task_starts[j].reserve(n / 4 + 4);
+  std::vector<SchedulePiece> pieces;
   for (std::size_t k = 0; k < segments; ++k) {
-    for (std::size_t j = 0; j < m; ++j) {
-      for (const std::size_t s : seg_solutions[k].schedule.tasks[j].starts()) {
-        task_starts[j].push_back(seg_starts[k] + s);
-      }
-    }
+    pieces.push_back(
+        {seg_starts[k], seg_solutions[k].schedule, seg_end(k) - seg_starts[k]});
   }
+  MultiTaskSchedule schedule = stitch(pieces);
 
-  // Boundary DP over segment edges (generalizing solve_private_global's
-  // outer DP).  Given the stitched local partitions, the block structure
-  // only decides the w·#blocks term and per-block quota feasibility — the
-  // hyper/reconfig terms are unchanged because every segment start is
-  // already a boundary of every task.  Feasibility is monotone in the
-  // range, so the scan breaks at the first infeasible end.
-  std::vector<std::size_t> global_bounds;
+  // Boundary DP over the segment edges at constant w.  Every segment start
+  // is already a boundary of every task, so the block structure only
+  // decides the w·#blocks term and per-block quota feasibility — the
+  // hyper/reconfig terms do not change, and the DP is exact at segment
+  // granularity.
   if (machine.has_global_resources()) {
-    const Cost w = machine.global_init;
-    std::vector<Cost> best(segments + 1, kInfinity);
-    std::vector<std::size_t> parent(segments + 1, 0);
-    best[0] = 0;
-    for (std::size_t a = 0; a < segments; ++a) {
-      if (best[a] >= kInfinity) continue;
-      for (std::size_t b = a + 1; b <= segments; ++b) {
-        const std::size_t hi = b < segments ? seg_starts[b] : n;
-        if (!block_feasible(instance, seg_starts[a], hi)) break;
-        const Cost candidate = best[a] + w;
-        if (candidate < best[b]) {
-          best[b] = candidate;
-          parent[b] = a;
-        }
-      }
-    }
-    HYPERREC_ASSERT(best[segments] < kInfinity);  // single segments feasible
-    for (std::size_t cursor = segments; cursor != 0; cursor = parent[cursor]) {
-      global_bounds.push_back(seg_starts[parent[cursor]]);
-    }
-    std::reverse(global_bounds.begin(), global_bounds.end());
+    schedule.global_boundaries = solve_block_dp(
+        seg_starts, n, [&](std::size_t lo, std::size_t hi) {
+          return instance.stats().block_quota_sum(lo, hi) <=
+                         machine.private_global_units
+                     ? std::optional<Cost>(machine.global_init)
+                     : std::nullopt;
+        });
   }
-  result.global_blocks = global_bounds.size();
+  result.global_blocks = schedule.global_boundaries.size();
 
   // Seam repair: a forced boundary at a segment edge is dropped for task j
   // when merging the adjacent intervals is an exact-cost win.  Only under
@@ -227,6 +174,12 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
   // improvement of the final evaluated cost.
   if (config.seam_repair &&
       options.reconfig_upload == UploadMode::kTaskSequential) {
+    const std::vector<std::size_t>& global_bounds = schedule.global_boundaries;
+    std::vector<std::vector<std::size_t>> task_starts;
+    task_starts.reserve(m);
+    for (const Partition& partition : schedule.tasks) {
+      task_starts.push_back(partition.starts());
+    }
     const bool hyper_parallel =
         options.hyper_upload == UploadMode::kTaskParallel;
     for (std::size_t k = 1; k < segments; ++k) {
@@ -276,15 +229,10 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
         }
       }
     }
+    for (std::size_t j = 0; j < m; ++j) {
+      schedule.tasks[j] = Partition::from_starts(std::move(task_starts[j]), n);
+    }
   }
-
-  MultiTaskSchedule schedule;
-  schedule.tasks.reserve(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    schedule.tasks.push_back(
-        Partition::from_starts(std::move(task_starts[j]), n));
-  }
-  schedule.global_boundaries = std::move(global_bounds);
   result.solution = make_solution(instance, std::move(schedule));
   if (config.certify) {
     attach_certificate(instance, result.solution, config.bound);

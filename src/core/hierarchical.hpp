@@ -6,18 +6,20 @@
 //
 //   1. segments the trace into fixed-length windows and solves each window
 //      independently through engine::solve_portfolio — in parallel on the
-//      ThreadPool, optionally memoized through one shared SolveCache so
+//      global ThreadPool (serially when the caller already runs on one of
+//      its workers), optionally memoized through one shared SolveCache so
 //      repeated segment shapes (periodic workloads, multi-tenant batches)
 //      are solved once;
-//   2. stitches the per-segment partitions back together — every segment
-//      start is a boundary of every task, so the splice is always a valid
-//      MultiTaskSchedule (the offline analogue of StreamingEngine's window
-//      splice);
-//   3. places global hyperreconfigurations with a boundary DP over the
-//      segment edges, generalizing the outer DP in solve_private_global:
-//      given the stitched local partitions, the block structure only
-//      decides the w·#blocks term and per-block quota feasibility, so the
-//      DP is exact at segment granularity;
+//   2. stitches the per-segment partitions back together with
+//      core/segments.hpp's stitch — every segment start is a boundary of
+//      every task, so the result is always a valid MultiTaskSchedule (the
+//      offline analogue of StreamingEngine's window splice);
+//   3. places global hyperreconfigurations with core/segments.hpp's
+//      boundary DP over the segment edges at constant cost w (the DP that
+//      solve_private_global prices by inner solves): given the stitched
+//      local partitions, the block structure only decides the w·#blocks
+//      term and per-block quota feasibility, so the DP is exact at segment
+//      granularity;
 //   4. optionally repairs the seams: a forced boundary at a segment edge is
 //      dropped again for any task where merging the two adjacent intervals
 //      is an exact-cost improvement (computed from the full instance's
@@ -38,7 +40,6 @@
 #include "core/solver.hpp"
 #include "engine/portfolio.hpp"
 #include "support/cancel.hpp"
-#include "support/thread_pool.hpp"
 
 namespace hyperrec {
 
@@ -52,11 +53,6 @@ struct HierarchicalConfig {
   /// Optional shared memoization: segment solves go through
   /// get_or_compute_guarded keyed by the segment's instance fingerprint.
   std::shared_ptr<cache::SolveCache> cache;
-  /// Pool for the segment fan-out (nullptr: the global pool).  When the
-  /// caller already runs on a worker of that pool, segments are solved
-  /// serially (same no-work-stealing rule as the portfolio racer).
-  ThreadPool* pool = nullptr;
-  bool parallel = true;
   /// Drop forced seam boundaries again where merging adjacent intervals is
   /// an exact-cost win (task-sequential reconfig upload only; under the
   /// per-step-max mode the deltas are not task-separable).

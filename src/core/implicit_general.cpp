@@ -1,15 +1,13 @@
 #include "core/implicit_general.hpp"
 
 #include <algorithm>
-#include <limits>
 
+#include "support/cost_math.hpp"
 #include "support/ensure.hpp"
 
 namespace hyperrec {
 
 namespace {
-
-constexpr Cost kInfinity = std::numeric_limits<Cost>::max() / 4;
 
 DynamicBitset from_mask(std::uint32_t mask, std::size_t universe) {
   DynamicBitset bits(universe);
@@ -43,7 +41,7 @@ ImplicitSolution solve_implicit_general(
                                  ? ~std::uint32_t{0}
                                  : ((std::uint32_t{1} << model.universe) - 1);
 
-  std::vector<Cost> best(n + 1, kInfinity);
+  std::vector<Cost> best(n + 1, kCostInfinity);
   std::vector<std::size_t> parent(n + 1, 0);
   std::vector<std::uint32_t> chosen(n + 1, 0);
   best[0] = 0;
@@ -57,7 +55,7 @@ ImplicitSolution solve_implicit_general(
       const Cost len = static_cast<Cost>(end - start);
 
       // Enumerate all supersets h ⊇ base: h = base | sub, sub ⊆ spare.
-      Cost interval_best = kInfinity;
+      Cost interval_best = kCostInfinity;
       std::uint32_t interval_h = base;
       std::uint32_t sub = spare;
       for (;;) {

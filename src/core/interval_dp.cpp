@@ -8,8 +8,6 @@ namespace hyperrec {
 
 namespace {
 
-constexpr Cost kInfinity = kCostInfinity;
-
 SingleTaskSolution reconstruct(const TaskTraceStats& stats,
                                const std::vector<std::size_t>& parent,
                                Cost total) {
@@ -41,7 +39,7 @@ SingleTaskSolution solve_single_task_switch(const TaskTraceStats& stats,
   const std::size_t n = trace.size();
   HYPERREC_ENSURE(n > 0, "empty trace");
 
-  std::vector<Cost> best(n + 1, kInfinity);
+  std::vector<Cost> best(n + 1, kCostInfinity);
   std::vector<std::size_t> parent(n + 1, 0);
   best[0] = 0;
 
@@ -139,7 +137,7 @@ SingleTaskSolution solve_single_task_switch_changeover(const TaskTrace& trace,
   };
 
   // state[i][j]: min cost of steps [0, j) whose last interval is [i, j).
-  std::vector<Cost> state(n * (n + 1), kInfinity);
+  std::vector<Cost> state(n * (n + 1), kCostInfinity);
   std::vector<std::size_t> parent(n * (n + 1), 0);
   auto at = [n](std::size_t i, std::size_t j) { return i * (n + 1) + j; };
 
@@ -149,7 +147,7 @@ SingleTaskSolution solve_single_task_switch_changeover(const TaskTrace& trace,
   }
   for (std::size_t j = 1; j < n; ++j) {      // previous interval end
     for (std::size_t i = 0; i < j; ++i) {    // previous interval start
-      if (state[at(i, j)] >= kInfinity) continue;
+      if (state[at(i, j)] >= kCostInfinity) continue;
       for (std::size_t k = j + 1; k <= n; ++k) {  // new interval end
         const Cost delta = static_cast<Cost>(
             unions[at(j, k)].symmetric_difference_count(unions[at(i, j)]));
@@ -163,7 +161,7 @@ SingleTaskSolution solve_single_task_switch_changeover(const TaskTrace& trace,
     }
   }
 
-  Cost total = kInfinity;
+  Cost total = kCostInfinity;
   std::size_t best_i = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (state[at(i, n)] < total) {

@@ -7,11 +7,11 @@
 // (cost w, all tasks stall and must re-establish local hypercontexts) can
 // re-assign the quotas.
 //
-// solve_private_global picks the global boundaries by an outer interval DP
-// over candidate steps; each block is solved by the inner solver (default:
-// coordinate descent on the sub-trace).  A block is feasible iff
-// Σ_j max-demand_j(block) ≤ g.  Exact with respect to the chosen candidate
-// set and inner solver.
+// solve_private_global picks the global boundaries by the boundary DP of
+// core/segments.hpp over candidate steps; each block is priced by the inner
+// solver (default: coordinate descent on the sub-trace).  A block is
+// feasible iff Σ_j max-demand_j(block) ≤ g.  Exact with respect to the
+// chosen candidate set and inner solver.
 #pragma once
 
 #include "core/solver.hpp"
@@ -44,7 +44,6 @@ struct PrivateGlobalSolution {
 };
 
 [[nodiscard]] PrivateGlobalSolution solve_private_global(
-    const MultiTaskTrace& trace, const MachineSpec& machine,
-    const EvalOptions& options = {}, const PrivateGlobalConfig& config = {});
+    const SolveInstance& instance, const PrivateGlobalConfig& config = {});
 
 }  // namespace hyperrec

@@ -18,17 +18,6 @@ MTSolution make_solution(const SolveInstance& instance,
   return solution;
 }
 
-MTSolution make_solution(const MultiTaskTrace& trace,
-                         const MachineSpec& machine,
-                         MultiTaskSchedule schedule,
-                         const EvalOptions& options) {
-  MTSolution solution;
-  solution.breakdown =
-      evaluate_fully_sync_switch(trace, machine, schedule, options);
-  solution.schedule = std::move(schedule);
-  return solution;
-}
-
 std::vector<NamedSolver> standard_solvers(const SolveHints& hints) {
   HYPERREC_ENSURE(hints.warm_start.size() <= 1,
                   "at most one warm-start schedule");

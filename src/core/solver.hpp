@@ -45,13 +45,6 @@ struct MTSolution {
 [[nodiscard]] MTSolution make_solution(const SolveInstance& instance,
                                        MultiTaskSchedule schedule);
 
-/// Boundary convenience: builds a one-off instance.  Prefer the instance
-/// overload anywhere a SolveInstance already exists.
-[[nodiscard]] MTSolution make_solution(const MultiTaskTrace& trace,
-                                       const MachineSpec& machine,
-                                       MultiTaskSchedule schedule,
-                                       const EvalOptions& options);
-
 /// Solver entry point.  The CancelToken is a cooperative hook: iterative
 /// solvers poll it between iterations and return their incumbent when it
 /// fires; exact solvers may ignore it (they are fast on the instance sizes
@@ -67,16 +60,6 @@ struct NamedSolver {
   [[nodiscard]] MTSolution solve(const SolveInstance& instance,
                                  const CancelToken& cancel = {}) const {
     return fn(instance, cancel);
-  }
-
-  /// Boundary convenience: builds a one-off instance for the call.  Tests
-  /// and examples use it; the engine/portfolio layers construct one
-  /// instance per job and share it across members instead.
-  [[nodiscard]] MTSolution solve(const MultiTaskTrace& trace,
-                                 const MachineSpec& machine,
-                                 const EvalOptions& options,
-                                 const CancelToken& cancel = {}) const {
-    return fn(SolveInstance(trace, machine, options), cancel);
   }
 };
 

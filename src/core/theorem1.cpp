@@ -1,13 +1,12 @@
 #include "core/theorem1.hpp"
 
-#include <limits>
 #include <unordered_map>
+
+#include "support/cost_math.hpp"
 
 namespace hyperrec {
 
 namespace {
-
-constexpr Cost kInfinity = std::numeric_limits<Cost>::max() / 4;
 
 Cost combine(UploadMode mode, Cost acc, Cost value) {
   return mode == UploadMode::kTaskParallel ? std::max(acc, value) : acc + value;
@@ -46,10 +45,10 @@ class Theorem1Solver {
   MTSolution solve() {
     // Initial decision: every task enters an interval at step 0.
     std::vector<Interval> state(m_);
-    Cost best = kInfinity;
+    Cost best = kCostInfinity;
     std::vector<std::uint32_t> best_ends;
     choose_initial(0, state, best, best_ends);
-    HYPERREC_ASSERT(best < kInfinity);
+    HYPERREC_ASSERT(best < kCostInfinity);
 
     // Reconstruct the schedule by replaying the DP greedily.
     std::vector<std::vector<std::size_t>> starts(m_);
@@ -64,7 +63,8 @@ class Theorem1Solver {
       schedule.tasks.push_back(Partition::from_starts(std::move(starts[j]),
                                                       n_));
     }
-    return make_solution(trace_, machine_, std::move(schedule), options_);
+    return make_solution(SolveInstance(trace_, machine_, options_),
+                         std::move(schedule));
   }
 
  private:
@@ -123,7 +123,7 @@ class Theorem1Solver {
       for (std::size_t j = 0; j < m_; ++j) {
         if (state[j].end == t) ending.push_back(j);
       }
-      Cost best = kInfinity;
+      Cost best = kCostInfinity;
       std::vector<Interval> next = state;
       choose_next(t, 0, ending, next, best);
       result = step_cost + best;
@@ -171,11 +171,11 @@ class Theorem1Solver {
       }
       if (ending.empty()) continue;
       // Pick the argmin assignment for the ending tasks.
-      Cost best = kInfinity;
+      Cost best = kCostInfinity;
       std::vector<Interval> best_state;
       std::vector<Interval> next = state;
       choose_next_tracking(t, 0, ending, next, best, best_state);
-      HYPERREC_ASSERT(best < kInfinity);
+      HYPERREC_ASSERT(best < kCostInfinity);
       state = best_state;
       for (const std::size_t j : ending) {
         starts[j].push_back(t + 1);

@@ -41,15 +41,6 @@ std::vector<NamedSolver> resolve_members(const PortfolioConfig& config,
 
 }  // namespace
 
-PortfolioResult solve_portfolio(const MultiTaskTrace& trace,
-                                const MachineSpec& machine,
-                                const EvalOptions& options,
-                                const PortfolioConfig& config,
-                                const CancelToken& cancel) {
-  return solve_portfolio(SolveInstance(trace, machine, options), config,
-                         cancel);
-}
-
 PortfolioResult solve_portfolio(const SolveInstance& instance,
                                 const PortfolioConfig& config,
                                 const CancelToken& cancel) {

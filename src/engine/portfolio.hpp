@@ -88,11 +88,4 @@ struct PortfolioResult {
                                               const PortfolioConfig& config = {},
                                               const CancelToken& cancel = {});
 
-/// Boundary convenience: builds the shared instance, then races on it.
-[[nodiscard]] PortfolioResult solve_portfolio(const MultiTaskTrace& trace,
-                                              const MachineSpec& machine,
-                                              const EvalOptions& options = {},
-                                              const PortfolioConfig& config = {},
-                                              const CancelToken& cancel = {});
-
 }  // namespace hyperrec::engine

@@ -39,7 +39,8 @@ void check_private_feasibility(const MultiTaskTraceStats& stats,
                                const MachineSpec& machine,
                                const MultiTaskSchedule& schedule,
                                std::size_t steps) {
-  if (machine.private_global_units == 0) return;
+  const std::uint64_t pool = machine.private_global_units;
+  if (pool == 0) return;
   // Walk block bounds [lo, hi) without materialising a boundary vector —
   // this check runs once per evaluation, and the exhaustive/coordinate-
   // descent loops evaluate millions of schedules.
@@ -48,17 +49,10 @@ void check_private_feasibility(const MultiTaskTraceStats& stats,
   for (std::size_t b = 0; b < blocks; ++b) {
     const std::size_t lo = bounds.empty() ? 0 : bounds[b];
     const std::size_t hi = (b + 1 < bounds.size()) ? bounds[b + 1] : steps;
-    std::uint64_t quota_sum = 0;
     // The per-step demand sum is a lower bound on the quota sum, so the
     // O(1) cross-task query short-circuits clearly infeasible blocks.
-    if (stats.max_step_demand_sum(lo, hi) <= machine.private_global_units) {
-      for (std::size_t j = 0; j < stats.task_count(); ++j) {
-        quota_sum += stats.task(j).max_private_demand(lo, hi);
-      }
-    } else {
-      quota_sum = machine.private_global_units + 1;
-    }
-    HYPERREC_ENSURE(quota_sum <= machine.private_global_units,
+    HYPERREC_ENSURE(stats.max_step_demand_sum(lo, hi) <= pool &&
+                        stats.block_quota_sum(lo, hi) <= pool,
                     "private-global demand exceeds the unit pool within a "
                     "global block; insert a global hyperreconfiguration");
   }

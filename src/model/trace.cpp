@@ -76,6 +76,16 @@ std::size_t MultiTaskTrace::steps() const {
   return tasks_[0].size();
 }
 
+MultiTaskTrace MultiTaskTrace::slice(std::size_t first,
+                                     std::size_t last) const {
+  MultiTaskTrace out;
+  out.tasks_.reserve(tasks_.size());
+  for (const TaskTrace& task : tasks_) {
+    out.tasks_.push_back(task.slice(first, last));
+  }
+  return out;
+}
+
 MultiTaskTrace MultiTaskTrace::from_local(
     const std::vector<std::size_t>& universes,
     const std::vector<std::vector<DynamicBitset>>& requirements) {

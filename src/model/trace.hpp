@@ -112,6 +112,11 @@ class MultiTaskTrace {
   /// Common step count; requires synchronized().
   [[nodiscard]] std::size_t steps() const;
 
+  /// Fresh trace holding steps [first, last) of every task (TaskTrace::slice
+  /// per task) — the sub-trace of one block, segment or stream window.
+  [[nodiscard]] MultiTaskTrace slice(std::size_t first,
+                                     std::size_t last) const;
+
   /// Builds a local-only multi-task trace from per-task requirement lists.
   /// universes[j] gives l_j.
   [[nodiscard]] static MultiTaskTrace from_local(

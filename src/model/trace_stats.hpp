@@ -157,6 +157,21 @@ class TaskTraceStats {
   std::vector<std::size_t> support_index_;
 };
 
+namespace detail {
+
+/// The body of every stats view's block_quota_sum.
+template <typename Stats>
+[[nodiscard]] std::uint64_t block_quota_sum(const Stats& stats, std::size_t lo,
+                                            std::size_t hi) {
+  std::uint64_t sum = 0;
+  for (std::size_t j = 0; j < stats.task_count(); ++j) {
+    sum += stats.task(j).max_private_demand(lo, hi);
+  }
+  return sum;
+}
+
+}  // namespace detail
+
 /// Per-task stats for all tasks of a multi-task trace, plus cross-task
 /// per-step demand sums on synchronized traces.
 class MultiTaskTraceStats {
@@ -184,6 +199,13 @@ class MultiTaskTraceStats {
   /// already exceeds the pool is infeasible without any per-task queries).
   [[nodiscard]] std::uint64_t max_step_demand_sum(std::size_t lo,
                                                   std::size_t hi) const;
+
+  /// §3 quota rule: a global block over [lo, hi) gives each task its peak
+  /// private demand there as quota, and fits iff the quotas' sum ≤ g.
+  [[nodiscard]] std::uint64_t block_quota_sum(std::size_t lo,
+                                              std::size_t hi) const {
+    return detail::block_quota_sum(*this, lo, hi);
+  }
 
  private:
   const MultiTaskTrace* trace_ = nullptr;

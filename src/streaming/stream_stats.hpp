@@ -173,6 +173,12 @@ class TraceBuilderStats {
   [[nodiscard]] std::uint64_t max_step_demand_sum(std::size_t lo,
                                                   std::size_t hi) const;
 
+  /// MultiTaskTraceStats::block_quota_sum over the growing trace.
+  [[nodiscard]] std::uint64_t block_quota_sum(std::size_t lo,
+                                              std::size_t hi) const {
+    return hyperrec::detail::block_quota_sum(*this, lo, hi);
+  }
+
   /// Number of full rebuilds performed by the bulk-append fallback.
   [[nodiscard]] std::size_t rebuild_count() const noexcept {
     return rebuilds_;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "cache/fingerprint.hpp"
+#include "core/segments.hpp"
 #include "support/ensure.hpp"
 
 namespace hyperrec::streaming {
@@ -140,11 +141,7 @@ std::optional<TriggerKind> StreamingEngine::ingest(
     const std::size_t block_lo = published_.global_boundaries.empty()
                                      ? 0
                                      : published_.global_boundaries.back();
-    std::uint64_t quota_sum = 0;
-    for (std::size_t j = 0; j < stats_.task_count(); ++j) {
-      quota_sum += stats_.task(j).max_private_demand(block_lo, n);
-    }
-    if (quota_sum > machine_.private_global_units) {
+    if (stats_.block_quota_sum(block_lo, n) > machine_.private_global_units) {
       return TriggerKind::kQuotaRepair;
     }
   }
@@ -215,15 +212,6 @@ void StreamingEngine::resolve_pending(const CancelToken& cancel) {
   resolve_window(trigger, cancel);
 }
 
-MultiTaskTrace StreamingEngine::window_trace(std::size_t lo,
-                                             std::size_t hi) const {
-  MultiTaskTrace window;
-  for (std::size_t j = 0; j < stats_.task_count(); ++j) {
-    window.add_task(stats_.trace().task(j).slice(lo, hi));
-  }
-  return window;
-}
-
 MultiTaskSchedule StreamingEngine::warm_seed(std::size_t lo,
                                              std::size_t hi) const {
   // Previous published boundaries restricted to [lo, hi) and re-anchored at
@@ -239,52 +227,6 @@ MultiTaskSchedule StreamingEngine::warm_seed(std::size_t lo,
   }
   // Global boundaries are normalized by the portfolio for the machine.
   return seed;
-}
-
-MultiTaskSchedule StreamingEngine::splice(const MultiTaskSchedule& window,
-                                          std::size_t lo, std::size_t hi,
-                                          std::size_t* prefix_boundaries)
-    const {
-  MultiTaskSchedule spliced;
-  std::size_t frozen = 0;
-  for (std::size_t j = 0; j < window.tasks.size(); ++j) {
-    std::vector<std::size_t> starts;
-    if (lo > 0) {
-      for (const std::size_t s : published_.tasks[j].starts()) {
-        if (s < lo) starts.push_back(s);
-      }
-      frozen += starts.size();
-    }
-    // The window partition always has a boundary at 0 → the spliced
-    // sequence has one at lo, keeping it strictly increasing after the
-    // frozen prefix.
-    for (const std::size_t s : window.tasks[j].starts()) {
-      starts.push_back(lo + s);
-    }
-    spliced.tasks.push_back(Partition::from_starts(std::move(starts), hi));
-  }
-  if (lo > 0) {
-    for (const std::size_t g : published_.global_boundaries) {
-      if (g < lo) spliced.global_boundaries.push_back(g);
-    }
-  }
-  for (const std::size_t g : window.global_boundaries) {
-    spliced.global_boundaries.push_back(lo + g);
-  }
-  if (machine_.has_global_resources()) {
-    // Quota blocks must not span the splice seam: per-block feasibility was
-    // only checked inside each window.  Every task has a boundary at lo, so
-    // a global hyperreconfiguration there is always legal.
-    if (!std::binary_search(spliced.global_boundaries.begin(),
-                            spliced.global_boundaries.end(), lo)) {
-      spliced.global_boundaries.insert(
-          std::upper_bound(spliced.global_boundaries.begin(),
-                           spliced.global_boundaries.end(), lo),
-          lo);
-    }
-  }
-  if (prefix_boundaries != nullptr) *prefix_boundaries = frozen;
-  return spliced;
 }
 
 void StreamingEngine::resolve_window(TriggerKind trigger,
@@ -306,7 +248,8 @@ void StreamingEngine::resolve_window(TriggerKind trigger,
   try {
     HYPERREC_ENSURE(!cancel.cancelled(),
                     "stream cancelled before the window solve");
-    const SolveInstance instance(window_trace(lo, hi), machine_, options_);
+    const SolveInstance instance(stats_.trace().slice(lo, hi), machine_,
+                                 options_);
 
     engine::PortfolioConfig per_solve = config_.portfolio;
     bool warm_seeded = false;
@@ -366,9 +309,19 @@ void StreamingEngine::resolve_window(TriggerKind trigger,
     }
     report.window_cost = window_solution.total();
 
-    MultiTaskSchedule spliced = splice(window_solution.schedule, lo, hi,
-                                       &report.splice_prefix_boundaries);
-    spliced.validate(machine_.task_count(), hi);
+    // Splice: the published boundaries before the window stay frozen, the
+    // window schedule is shifted onto [lo, hi).  On machines with global
+    // resources the window schedule has a global boundary at its step 0 (the
+    // evaluator demands one), so no quota block spans the seam.
+    std::vector<SchedulePiece> pieces;
+    if (lo > 0) pieces.push_back({0, published_, lo});
+    pieces.push_back({lo, window_solution.schedule, hi - lo});
+    MultiTaskSchedule spliced = stitch(pieces);
+    for (const Partition& partition : spliced.tasks) {
+      const std::vector<std::size_t>& starts = partition.starts();
+      report.splice_prefix_boundaries += static_cast<std::size_t>(
+          std::lower_bound(starts.begin(), starts.end(), lo) - starts.begin());
+    }
     CostBreakdown full = evaluate_fully_sync_switch(stats_.trace(), machine_,
                                                     spliced, options_);
     // Publish only after the spliced schedule validated and evaluated —

@@ -214,13 +214,8 @@ class StreamingEngine {
   /// the trigger checks in priority order; returns the first firing trigger.
   std::optional<TriggerKind> ingest(std::vector<ContextRequirement> step);
   void resolve_window(TriggerKind trigger, const CancelToken& cancel);
-  [[nodiscard]] MultiTaskTrace window_trace(std::size_t lo,
-                                            std::size_t hi) const;
   [[nodiscard]] MultiTaskSchedule warm_seed(std::size_t lo,
                                             std::size_t hi) const;
-  [[nodiscard]] MultiTaskSchedule splice(const MultiTaskSchedule& window,
-                                         std::size_t lo, std::size_t hi,
-                                         std::size_t* prefix_boundaries) const;
 
   MachineSpec machine_;
   EvalOptions options_;

@@ -15,7 +15,7 @@ using testutil::phased_pair;
 TEST(AlignedDp, AllPartitionsIdenticalAcrossTasks) {
   const auto trace = phased_pair();
   const auto machine = MachineSpec::uniform_local(2, 4);
-  const auto solution = solve_aligned_dp(trace, machine, {});
+  const auto solution = solve_aligned_dp(SolveInstance(trace, machine));
   ASSERT_EQ(solution.schedule.tasks.size(), 2u);
   EXPECT_EQ(solution.schedule.tasks[0].starts(),
             solution.schedule.tasks[1].starts());
@@ -26,7 +26,8 @@ TEST(AlignedDp, MatchesAlignedBruteForceParallelParallel) {
   const auto machine = MachineSpec::uniform_local(2, 4);
   EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskParallel,
                       false};
-  const auto solution = solve_aligned_dp(trace, machine, options);
+  const auto solution =
+      solve_aligned_dp(SolveInstance(trace, machine, options));
   EXPECT_EQ(solution.total(),
             testutil::brute_force_aligned(trace, machine, options));
 }
@@ -36,7 +37,8 @@ TEST(AlignedDp, MatchesAlignedBruteForceSequentialSequential) {
   const auto machine = MachineSpec::uniform_local(2, 4);
   EvalOptions options{UploadMode::kTaskSequential, UploadMode::kTaskSequential,
                       false};
-  const auto solution = solve_aligned_dp(trace, machine, options);
+  const auto solution =
+      solve_aligned_dp(SolveInstance(trace, machine, options));
   EXPECT_EQ(solution.total(),
             testutil::brute_force_aligned(trace, machine, options));
 }
@@ -55,7 +57,8 @@ TEST(AlignedDp, MatchesAlignedBruteForceOnRandomTraces) {
       for (const auto reconfig :
            {UploadMode::kTaskParallel, UploadMode::kTaskSequential}) {
         EvalOptions options{hyper, reconfig, false};
-        const auto solution = solve_aligned_dp(trace, machine, options);
+        const auto solution =
+            solve_aligned_dp(SolveInstance(trace, machine, options));
         EXPECT_EQ(solution.total(),
                   testutil::brute_force_aligned(trace, machine, options))
             << "seed " << seed;
@@ -70,7 +73,7 @@ TEST(AlignedDp, ReducesToSingleTaskDpForOneTask) {
              DynamicBitset::from_string("1100"),
              DynamicBitset::from_string("0011")}});
   const auto machine = MachineSpec::local_only({4});
-  const auto aligned = solve_aligned_dp(trace, machine, {});
+  const auto aligned = solve_aligned_dp(SolveInstance(trace, machine));
   const auto single = solve_single_task_switch(trace.task(0), 4);
   EXPECT_EQ(aligned.total(), single.total);
 }
@@ -80,7 +83,8 @@ TEST(AlignedDp, ChangeoverRejected) {
   const auto machine = MachineSpec::uniform_local(2, 4);
   EvalOptions options;
   options.changeover = true;
-  EXPECT_THROW(solve_aligned_dp(trace, machine, options), PreconditionError);
+  EXPECT_THROW(solve_aligned_dp(SolveInstance(trace, machine, options)),
+               PreconditionError);
 }
 
 TEST(AlignedDp, SolutionEvaluatesToReportedCost) {
@@ -88,7 +92,8 @@ TEST(AlignedDp, SolutionEvaluatesToReportedCost) {
   const auto machine = MachineSpec::uniform_local(2, 4);
   EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                       false};
-  const auto solution = solve_aligned_dp(trace, machine, options);
+  const auto solution =
+      solve_aligned_dp(SolveInstance(trace, machine, options));
   EXPECT_EQ(
       solution.total(),
       evaluate_fully_sync_switch(trace, machine, solution.schedule, options)

@@ -19,8 +19,8 @@ TEST(Annealing, DeterministicForSeed) {
   SaConfig config;
   config.iterations = 2000;
   config.seed = 77;
-  const auto a = solve_annealing(trace, machine, {}, config);
-  const auto b = solve_annealing(trace, machine, {}, config);
+  const auto a = solve_annealing(SolveInstance(trace, machine), config);
+  const auto b = solve_annealing(SolveInstance(trace, machine), config);
   EXPECT_EQ(a.total(), b.total());
 }
 
@@ -30,11 +30,12 @@ TEST(Annealing, NearOptimalOnTinyInstances) {
     const auto machine = MachineSpec::uniform_local(2, 4);
     EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                         false};
-    const auto exact = solve_exhaustive(trace, machine, options);
+    const SolveInstance instance(trace, machine, options);
+    const auto exact = solve_exhaustive(instance);
     SaConfig config;
     config.iterations = 5000;
     config.seed = seed;
-    const auto sa = solve_annealing(trace, machine, options, config);
+    const auto sa = solve_annealing(instance, config);
     EXPECT_GE(sa.total(), exact.total());
     EXPECT_LE(sa.total(), exact.total() * 11 / 10) << "seed " << seed;
   }
@@ -51,7 +52,8 @@ TEST(Annealing, ImprovesOnSingleIntervalStart) {
                          .total;
   SaConfig config;
   config.iterations = 8000;
-  const auto sa = solve_annealing(trace, machine, options, config);
+  const auto sa =
+      solve_annealing(SolveInstance(trace, machine, options), config);
   EXPECT_LE(sa.total(), start) << "best-so-far tracking cannot regress";
 }
 
@@ -61,7 +63,7 @@ TEST(Annealing, RespectsSeedSchedule) {
   SaConfig config;
   config.iterations = 100;
   config.seed_schedule.push_back(MultiTaskSchedule::all_every_step(2, 10));
-  const auto sa = solve_annealing(trace, machine, {}, config);
+  const auto sa = solve_annealing(SolveInstance(trace, machine), config);
   EXPECT_NO_THROW(sa.schedule.validate(2, 10));
 }
 
@@ -70,7 +72,7 @@ TEST(Annealing, ReportedCostMatchesReEvaluation) {
   const auto machine = MachineSpec::uniform_local(3, 6);
   EvalOptions options{UploadMode::kTaskSequential, UploadMode::kTaskSequential,
                       false};
-  const auto sa = solve_annealing(trace, machine, options);
+  const auto sa = solve_annealing(SolveInstance(trace, machine, options));
   EXPECT_EQ(
       sa.total(),
       evaluate_fully_sync_switch(trace, machine, sa.schedule, options).total);
@@ -83,7 +85,8 @@ TEST(Annealing, SupportsChangeoverObjective) {
   options.changeover = true;
   SaConfig config;
   config.iterations = 3000;
-  const auto sa = solve_annealing(trace, machine, options, config);
+  const auto sa =
+      solve_annealing(SolveInstance(trace, machine, options), config);
   EXPECT_EQ(
       sa.total(),
       evaluate_fully_sync_switch(trace, machine, sa.schedule, options).total);

@@ -20,8 +20,9 @@ TEST(CoordinateDescent, NeverWorseThanAlignedSeed) {
     const auto machine = MachineSpec::uniform_local(3, 6);
     EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                         false};
-    const auto aligned = solve_aligned_dp(trace, machine, options);
-    const auto descent = solve_coordinate_descent(trace, machine, options);
+    const SolveInstance instance(trace, machine, options);
+    const auto aligned = solve_aligned_dp(instance);
+    const auto descent = solve_coordinate_descent(instance);
     EXPECT_LE(descent.total(), aligned.total()) << "seed " << seed;
   }
 }
@@ -32,8 +33,9 @@ TEST(CoordinateDescent, MatchesExhaustiveOnTinyInstances) {
     const auto machine = MachineSpec::uniform_local(2, 4);
     EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                         false};
-    const auto exact = solve_exhaustive(trace, machine, options);
-    const auto descent = solve_coordinate_descent(trace, machine, options);
+    const SolveInstance instance(trace, machine, options);
+    const auto exact = solve_exhaustive(instance);
+    const auto descent = solve_coordinate_descent(instance);
     EXPECT_GE(descent.total(), exact.total()) << "CD cannot beat the optimum";
     // Local search is not guaranteed optimal, but on these tiny phased
     // instances it should stay within a small factor.
@@ -49,8 +51,8 @@ TEST(CoordinateDescent, RespectsSeedSchedule) {
                       false};
   CoordinateDescentConfig config;
   config.seed.push_back(MultiTaskSchedule::all_every_step(2, 10));
-  const auto from_every = solve_coordinate_descent(trace, machine, options,
-                                                   config);
+  const auto from_every =
+      solve_coordinate_descent(SolveInstance(trace, machine, options), config);
   const Cost every_cost =
       evaluate_fully_sync_switch(trace, machine,
                                  MultiTaskSchedule::all_every_step(2, 10),
@@ -65,8 +67,9 @@ TEST(CoordinateDescent, TaskParallelReconfigSupported) {
   const auto machine = MachineSpec::uniform_local(3, 6);
   EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskParallel,
                       false};
-  const auto aligned = solve_aligned_dp(trace, machine, options);
-  const auto descent = solve_coordinate_descent(trace, machine, options);
+  const SolveInstance instance(trace, machine, options);
+  const auto aligned = solve_aligned_dp(instance);
+  const auto descent = solve_coordinate_descent(instance);
   EXPECT_LE(descent.total(), aligned.total());
 }
 
@@ -75,7 +78,7 @@ TEST(CoordinateDescent, ChangeoverRejected) {
   const auto machine = MachineSpec::uniform_local(2, 4);
   EvalOptions options;
   options.changeover = true;
-  EXPECT_THROW(solve_coordinate_descent(trace, machine, options),
+  EXPECT_THROW(solve_coordinate_descent(SolveInstance(trace, machine, options)),
                PreconditionError);
 }
 
@@ -84,7 +87,8 @@ TEST(CoordinateDescent, ReportedCostMatchesReEvaluation) {
   const auto machine = MachineSpec::uniform_local(3, 6);
   EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                       false};
-  const auto descent = solve_coordinate_descent(trace, machine, options);
+  const auto descent =
+      solve_coordinate_descent(SolveInstance(trace, machine, options));
   EXPECT_EQ(
       descent.total(),
       evaluate_fully_sync_switch(trace, machine, descent.schedule, options)
@@ -96,8 +100,10 @@ TEST(CoordinateDescent, DeterministicAcrossRuns) {
   const auto machine = MachineSpec::uniform_local(3, 6);
   EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                       false};
-  const auto a = solve_coordinate_descent(trace, machine, options);
-  const auto b = solve_coordinate_descent(trace, machine, options);
+  const auto a =
+      solve_coordinate_descent(SolveInstance(trace, machine, options));
+  const auto b =
+      solve_coordinate_descent(SolveInstance(trace, machine, options));
   EXPECT_EQ(a.total(), b.total());
   for (std::size_t j = 0; j < 3; ++j) {
     EXPECT_EQ(a.schedule.tasks[j].starts(), b.schedule.tasks[j].starts());

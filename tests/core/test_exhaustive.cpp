@@ -24,7 +24,8 @@ TEST(Exhaustive, RejectsOversizedInstances) {
   config.task_config.universe = 4;
   const auto trace = workload::make_multi_phased(config, 1);
   const auto machine = MachineSpec::uniform_local(3, 4);
-  EXPECT_THROW(solve_exhaustive(trace, machine, {}), PreconditionError);
+  EXPECT_THROW(solve_exhaustive(SolveInstance(trace, machine)),
+               PreconditionError);
 }
 
 TEST(Exhaustive, MatchesBruteForceHelper) {
@@ -38,7 +39,8 @@ TEST(Exhaustive, MatchesBruteForceHelper) {
     const auto machine = MachineSpec::uniform_local(2, 4);
     EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                         false};
-    const auto solution = solve_exhaustive(trace, machine, options);
+    const auto solution =
+        solve_exhaustive(SolveInstance(trace, machine, options));
     EXPECT_EQ(solution.total(),
               testutil::brute_force_multi_task(trace, machine, options))
         << "seed " << seed;
@@ -55,8 +57,9 @@ TEST(Exhaustive, NeverWorseThanAlignedDp) {
     const auto machine = MachineSpec::uniform_local(2, 5);
     EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                         false};
-    EXPECT_LE(solve_exhaustive(trace, machine, options).total(),
-              solve_aligned_dp(trace, machine, options).total())
+    const SolveInstance instance(trace, machine, options);
+    EXPECT_LE(solve_exhaustive(instance).total(),
+              solve_aligned_dp(instance).total())
         << "aligned schedules are a subset of the search space";
   }
 }
@@ -65,7 +68,7 @@ TEST(Exhaustive, SingleTaskSingleStep) {
   const auto trace = MultiTaskTrace::from_local(
       {3}, {{DynamicBitset::from_string("101")}});
   const auto machine = MachineSpec::local_only({3});
-  const auto solution = solve_exhaustive(trace, machine, {});
+  const auto solution = solve_exhaustive(SolveInstance(trace, machine));
   EXPECT_EQ(solution.total(), 3 + 2);
   EXPECT_EQ(solution.schedule.partial_hyper_steps(), 1u);
 }
@@ -79,7 +82,8 @@ TEST(Exhaustive, SupportsChangeoverObjective) {
   const auto machine = MachineSpec::local_only({3});
   EvalOptions options;
   options.changeover = true;
-  const auto solution = solve_exhaustive(trace, machine, options);
+  const auto solution =
+      solve_exhaustive(SolveInstance(trace, machine, options));
   // Exhaustive is exact for the changeover objective too; verify the result
   // re-evaluates to its reported total.
   EXPECT_EQ(

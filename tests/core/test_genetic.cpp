@@ -27,8 +27,9 @@ TEST(Genetic, FindsOptimumOnTinyInstances) {
     const auto machine = MachineSpec::uniform_local(2, 4);
     EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                         false};
-    const auto exact = solve_exhaustive(trace, machine, options);
-    const auto ga = solve_genetic(trace, machine, options, small_ga(seed));
+    const SolveInstance instance(trace, machine, options);
+    const auto exact = solve_exhaustive(instance);
+    const auto ga = solve_genetic(instance, small_ga(seed));
     EXPECT_EQ(ga.best.total(), exact.total()) << "seed " << seed;
   }
 }
@@ -36,8 +37,8 @@ TEST(Genetic, FindsOptimumOnTinyInstances) {
 TEST(Genetic, DeterministicForSeed) {
   const auto trace = phased(7, 3, 15, 6);
   const auto machine = MachineSpec::uniform_local(3, 6);
-  const auto a = solve_genetic(trace, machine, {}, small_ga(42));
-  const auto b = solve_genetic(trace, machine, {}, small_ga(42));
+  const auto a = solve_genetic(SolveInstance(trace, machine), small_ga(42));
+  const auto b = solve_genetic(SolveInstance(trace, machine), small_ga(42));
   EXPECT_EQ(a.best.total(), b.best.total());
   EXPECT_EQ(a.history, b.history);
 }
@@ -49,8 +50,8 @@ TEST(Genetic, ParallelAndSerialFitnessAgree) {
   serial.parallel_fitness = false;
   GaConfig parallel = small_ga(5);
   parallel.parallel_fitness = true;
-  const auto a = solve_genetic(trace, machine, {}, serial);
-  const auto b = solve_genetic(trace, machine, {}, parallel);
+  const auto a = solve_genetic(SolveInstance(trace, machine), serial);
+  const auto b = solve_genetic(SolveInstance(trace, machine), parallel);
   EXPECT_EQ(a.best.total(), b.best.total())
       << "randomness lives outside the parallel section";
 }
@@ -58,7 +59,7 @@ TEST(Genetic, ParallelAndSerialFitnessAgree) {
 TEST(Genetic, HistoryIsMonotoneNonIncreasing) {
   const auto trace = phased(11, 3, 20, 6);
   const auto machine = MachineSpec::uniform_local(3, 6);
-  const auto result = solve_genetic(trace, machine, {}, small_ga(3));
+  const auto result = solve_genetic(SolveInstance(trace, machine), small_ga(3));
   for (std::size_t g = 1; g < result.history.size(); ++g) {
     EXPECT_LE(result.history[g], result.history[g - 1]);
   }
@@ -69,7 +70,8 @@ TEST(Genetic, BestNeverWorseThanSeededSchedules) {
   const auto machine = MachineSpec::uniform_local(3, 6);
   EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                       false};
-  const auto result = solve_genetic(trace, machine, options, small_ga(4));
+  const auto result =
+      solve_genetic(SolveInstance(trace, machine, options), small_ga(4));
   const Cost single =
       evaluate_fully_sync_switch(trace, machine,
                                  MultiTaskSchedule::all_single(3, 18), options)
@@ -88,7 +90,7 @@ TEST(Genetic, PatienceStopsEarly) {
   GaConfig config = small_ga(6);
   config.generations = 500;
   config.patience = 5;
-  const auto result = solve_genetic(trace, machine, {}, config);
+  const auto result = solve_genetic(SolveInstance(trace, machine), config);
   EXPECT_LT(result.history.size(), 500u) << "patience should trigger";
 }
 
@@ -98,7 +100,7 @@ TEST(Genetic, EvaluationsAreCounted) {
   GaConfig config = small_ga(7);
   config.population = 16;
   config.generations = 10;
-  const auto result = solve_genetic(trace, machine, {}, config);
+  const auto result = solve_genetic(SolveInstance(trace, machine), config);
   EXPECT_EQ(result.evaluations, 16u * 11u)
       << "initial population + one evaluation per generation";
 }
@@ -108,7 +110,8 @@ TEST(Genetic, TooSmallPopulationRejected) {
   const auto machine = MachineSpec::uniform_local(2, 4);
   GaConfig config;
   config.population = 2;
-  EXPECT_THROW(solve_genetic(trace, machine, {}, config), PreconditionError);
+  EXPECT_THROW(solve_genetic(SolveInstance(trace, machine),
+                             config), PreconditionError);
 }
 
 TEST(Genetic, SupportsChangeoverObjective) {
@@ -116,7 +119,8 @@ TEST(Genetic, SupportsChangeoverObjective) {
   const auto machine = MachineSpec::uniform_local(2, 5);
   EvalOptions options;
   options.changeover = true;
-  const auto result = solve_genetic(trace, machine, options, small_ga(8));
+  const auto result =
+      solve_genetic(SolveInstance(trace, machine, options), small_ga(8));
   EXPECT_EQ(
       result.best.total(),
       evaluate_fully_sync_switch(trace, machine, result.best.schedule, options)

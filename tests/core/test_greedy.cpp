@@ -15,7 +15,7 @@ MultiTaskTrace phased(std::uint64_t seed, std::size_t tasks, std::size_t steps,
 TEST(Greedy, ProducesValidSchedules) {
   const auto trace = phased(1, 4, 30, 8);
   const auto machine = MachineSpec::uniform_local(4, 8);
-  const auto solution = solve_greedy(trace, machine, {});
+  const auto solution = solve_greedy(SolveInstance(trace, machine));
   EXPECT_NO_THROW(solution.schedule.validate(4, 30));
   EXPECT_EQ(
       solution.total(),
@@ -34,7 +34,7 @@ TEST(Greedy, SplitsOnSharpPhaseChange) {
   const auto machine = MachineSpec::local_only({6});
   GreedyConfig config;
   config.window = 3;
-  const auto solution = solve_greedy(trace, machine, {}, config);
+  const auto solution = solve_greedy(SolveInstance(trace, machine), config);
   EXPECT_GE(solution.schedule.tasks[0].interval_count(), 2u);
   EXPECT_TRUE(solution.schedule.tasks[0].is_boundary(3))
       << "phase boundary at step 3 must be detected";
@@ -47,7 +47,7 @@ TEST(Greedy, ConstantTraceStaysSingleInterval) {
              DynamicBitset::from_string("1100"),
              DynamicBitset::from_string("1100")}});
   const auto machine = MachineSpec::local_only({4});
-  const auto solution = solve_greedy(trace, machine, {});
+  const auto solution = solve_greedy(SolveInstance(trace, machine));
   EXPECT_EQ(solution.schedule.tasks[0].interval_count(), 1u);
 }
 
@@ -57,7 +57,7 @@ TEST(Greedy, BeatsNeverHyperreconfiguringOnPhasedLoads) {
     const auto machine = MachineSpec::uniform_local(3, 10);
     EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                         false};
-    const auto greedy = solve_greedy(trace, machine, options);
+    const auto greedy = solve_greedy(SolveInstance(trace, machine, options));
     const Cost single =
         evaluate_fully_sync_switch(trace, machine,
                                    MultiTaskSchedule::all_single(3, 40),
@@ -72,7 +72,7 @@ TEST(Greedy, WindowOneIsPurelyReactive) {
   const auto machine = MachineSpec::uniform_local(2, 6);
   GreedyConfig config;
   config.window = 1;
-  const auto solution = solve_greedy(trace, machine, {}, config);
+  const auto solution = solve_greedy(SolveInstance(trace, machine), config);
   EXPECT_NO_THROW(solution.schedule.validate(2, 20));
 }
 
@@ -81,7 +81,8 @@ TEST(Greedy, ZeroWindowRejected) {
   const auto machine = MachineSpec::uniform_local(2, 4);
   GreedyConfig config;
   config.window = 0;
-  EXPECT_THROW(solve_greedy(trace, machine, {}, config), PreconditionError);
+  EXPECT_THROW(solve_greedy(SolveInstance(trace, machine),
+                            config), PreconditionError);
 }
 
 }  // namespace

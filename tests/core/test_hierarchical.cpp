@@ -2,16 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include "support/thread_pool.hpp"
 #include "testutil/oracles.hpp"
 #include "testutil/trace_builders.hpp"
 
 namespace hyperrec {
 namespace {
 
-HierarchicalConfig serial_config(std::size_t segment) {
+HierarchicalConfig segmented(std::size_t segment) {
   HierarchicalConfig config;
   config.segment = segment;
-  config.parallel = false;
   return config;
 }
 
@@ -57,7 +57,7 @@ TEST(Hierarchical, MultiSegmentSolveIsValidAndCertified) {
   const auto trace = testutil::phased_multi(7, 2, 24, 6);
   const MachineSpec machine = MachineSpec::local_only({6, 6});
   const SolveInstance instance(trace, machine);
-  const auto result = solve_hierarchical(instance, serial_config(6));
+  const auto result = solve_hierarchical(instance, segmented(6));
   EXPECT_EQ(result.segments, 4u);
   EXPECT_EQ(result.solution.total(),
             evaluate_fully_sync_switch(instance, result.solution.schedule)
@@ -74,7 +74,7 @@ TEST(Hierarchical, CostBracketsTheExhaustiveOptimum) {
   const MachineSpec machine = MachineSpec::local_only({4, 4});
   const Cost optimum = testutil::brute_force_multi_task(trace, machine, {});
   const SolveInstance instance(trace, machine);
-  const auto result = solve_hierarchical(instance, serial_config(2));
+  const auto result = solve_hierarchical(instance, segmented(2));
   EXPECT_GE(result.solution.total(), optimum);
   ASSERT_TRUE(result.solution.lower_bound.has_value());
   EXPECT_LE(*result.solution.lower_bound, optimum);
@@ -84,7 +84,7 @@ TEST(Hierarchical, FlatFallbackWhenOneSegmentCoversTheTrace) {
   const auto trace = testutil::phased_pair();
   const MachineSpec machine = MachineSpec::local_only({4, 4});
   const SolveInstance instance(trace, machine);
-  const auto result = solve_hierarchical(instance, serial_config(100));
+  const auto result = solve_hierarchical(instance, segmented(100));
   EXPECT_EQ(result.segments, 1u);
   ASSERT_TRUE(result.solution.lower_bound.has_value());
 }
@@ -93,7 +93,7 @@ TEST(Hierarchical, SegmentStartsAreTaskBoundariesWithoutRepair) {
   const auto trace = testutil::phased_multi(3, 2, 20, 5);
   const MachineSpec machine = MachineSpec::local_only({5, 5});
   const SolveInstance instance(trace, machine);
-  HierarchicalConfig config = serial_config(5);
+  HierarchicalConfig config = segmented(5);
   config.seam_repair = false;
   const auto result = solve_hierarchical(instance, config);
   EXPECT_EQ(result.seam_merges, 0u);
@@ -110,9 +110,9 @@ TEST(Hierarchical, SeamRepairNeverHurts) {
     const auto trace = testutil::random_multi_trace(rng, 2, 18, 5);
     const MachineSpec machine = MachineSpec::local_only({5, 5});
     const SolveInstance instance(trace, machine);
-    HierarchicalConfig off = serial_config(4);
+    HierarchicalConfig off = segmented(4);
     off.seam_repair = false;
-    HierarchicalConfig on = serial_config(4);
+    HierarchicalConfig on = segmented(4);
     const Cost cost_off = solve_hierarchical(instance, off).solution.total();
     const Cost cost_on = solve_hierarchical(instance, on).solution.total();
     EXPECT_LE(cost_on, cost_off) << "seed " << seed;
@@ -122,7 +122,7 @@ TEST(Hierarchical, SeamRepairNeverHurts) {
 TEST(Hierarchical, BoundaryDpPlacesMandatoryGlobalBoundary) {
   const auto trace = swapping_demand_trace(8);  // demand swap at step 8
   const SolveInstance instance(trace, pooled_machine());
-  const auto result = solve_hierarchical(instance, serial_config(4));
+  const auto result = solve_hierarchical(instance, segmented(4));
   EXPECT_EQ(result.segments, 4u);
   const auto& bounds = result.solution.schedule.global_boundaries;
   ASSERT_EQ(bounds.size(), 2u) << "one block per demand phase";
@@ -137,7 +137,7 @@ TEST(Hierarchical, BoundaryDpMergesBlocksWhenPoolAllows) {
   machine.private_global_units = 14;  // both peaks fit one block
   machine.global_init = 1000;
   const SolveInstance instance(trace, machine);
-  const auto result = solve_hierarchical(instance, serial_config(4));
+  const auto result = solve_hierarchical(instance, segmented(4));
   EXPECT_EQ(result.solution.schedule.global_boundaries.size(), 1u);
   EXPECT_EQ(result.global_blocks, 1u);
 }
@@ -154,7 +154,7 @@ TEST(Hierarchical, InfeasibleSegmentThrowsWithAdvice) {
   trace.add_task(std::move(t1));
   const SolveInstance instance(trace, pooled_machine());
   try {
-    (void)solve_hierarchical(instance, serial_config(4));
+    (void)solve_hierarchical(instance, segmented(4));
     FAIL() << "hot step exceeds the pool; no segmentation can help";
   } catch (const PreconditionError& e) {
     EXPECT_NE(std::string(e.what()).find("segment"), std::string::npos);
@@ -167,7 +167,7 @@ TEST(Hierarchical, ChangeoverIsRejected) {
   EvalOptions options;
   options.changeover = true;
   const SolveInstance instance(trace, machine, options);
-  EXPECT_THROW((void)solve_hierarchical(instance, serial_config(2)),
+  EXPECT_THROW((void)solve_hierarchical(instance, segmented(2)),
                PreconditionError);
 }
 
@@ -175,7 +175,7 @@ TEST(Hierarchical, SharedCacheServesRepeatedSegmentShapes) {
   const auto trace = constant_trace(16);
   const MachineSpec machine = MachineSpec::local_only({3, 3});
   const SolveInstance instance(trace, machine);
-  HierarchicalConfig config = serial_config(4);
+  HierarchicalConfig config = segmented(4);
   config.cache = std::make_shared<cache::SolveCache>();
   const auto first = solve_hierarchical(instance, config);
   EXPECT_EQ(first.segments, 4u);
@@ -189,11 +189,14 @@ TEST(Hierarchical, ParallelMatchesSerial) {
   const auto trace = testutil::phased_multi(21, 3, 40, 6);
   const MachineSpec machine = MachineSpec::local_only({6, 6, 6});
   const SolveInstance instance(trace, machine);
-  HierarchicalConfig serial = serial_config(8);
-  HierarchicalConfig parallel = serial_config(8);
-  parallel.parallel = true;
-  const auto a = solve_hierarchical(instance, serial);
-  const auto b = solve_hierarchical(instance, parallel);
+  const HierarchicalConfig config = segmented(8);
+  // Submitted from a worker of the global pool, the solve takes the
+  // on-worker serial fallback; from this thread it fans out over the pool.
+  const auto a =
+      ThreadPool::global()
+          .submit([&] { return solve_hierarchical(instance, config); })
+          .get();
+  const auto b = solve_hierarchical(instance, config);
   EXPECT_EQ(a.solution.total(), b.solution.total());
   EXPECT_EQ(a.solution.schedule.global_boundaries,
             b.solution.schedule.global_boundaries);

@@ -37,7 +37,7 @@ MachineSpec pooled_machine() {
 TEST(PrivateGlobal, InsertsMandatoryGlobalBoundary) {
   const auto trace = swapping_demand_trace(4);
   const auto machine = pooled_machine();
-  const auto result = solve_private_global(trace, machine);
+  const auto result = solve_private_global(SolveInstance(trace, machine));
   ASSERT_GE(result.solution.schedule.global_boundaries.size(), 2u)
       << "demand swap cannot be served by a single block";
   EXPECT_EQ(result.solution.schedule.global_boundaries.front(), 0u);
@@ -46,7 +46,7 @@ TEST(PrivateGlobal, InsertsMandatoryGlobalBoundary) {
 TEST(PrivateGlobal, QuotasCoverBlockDemands) {
   const auto trace = swapping_demand_trace(4);
   const auto machine = pooled_machine();
-  const auto result = solve_private_global(trace, machine);
+  const auto result = solve_private_global(SolveInstance(trace, machine));
   for (const auto& quotas : result.quotas) {
     std::uint64_t total = 0;
     for (const auto quota : quotas) total += quota;
@@ -57,7 +57,7 @@ TEST(PrivateGlobal, QuotasCoverBlockDemands) {
 TEST(PrivateGlobal, SolutionValidatesUnderEvaluator) {
   const auto trace = swapping_demand_trace(3);
   const auto machine = pooled_machine();
-  const auto result = solve_private_global(trace, machine);
+  const auto result = solve_private_global(SolveInstance(trace, machine));
   EXPECT_EQ(result.solution.total(),
             evaluate_fully_sync_switch(trace, machine,
                                        result.solution.schedule, {})
@@ -70,8 +70,9 @@ TEST(PrivateGlobal, GlobalInitEnteringTotal) {
   cheap.global_init = 0;
   MachineSpec expensive = pooled_machine();
   expensive.global_init = 50;
-  const auto cheap_result = solve_private_global(trace, cheap);
-  const auto expensive_result = solve_private_global(trace, expensive);
+  const auto cheap_result = solve_private_global(SolveInstance(trace, cheap));
+  const auto expensive_result =
+      solve_private_global(SolveInstance(trace, expensive));
   EXPECT_LT(cheap_result.solution.total(), expensive_result.solution.total());
 }
 
@@ -80,7 +81,7 @@ TEST(PrivateGlobal, FitsInOneBlockWhenPoolIsLarge) {
   MachineSpec machine = pooled_machine();
   machine.private_global_units = 14;  // 6+6 fits now…
   machine.global_init = 1000;         // …and extra blocks are prohibitive
-  const auto result = solve_private_global(trace, machine);
+  const auto result = solve_private_global(SolveInstance(trace, machine));
   EXPECT_EQ(result.solution.schedule.global_boundaries.size(), 1u);
 }
 
@@ -88,7 +89,8 @@ TEST(PrivateGlobal, LocalOnlyMachineRejected) {
   const auto trace = MultiTaskTrace::from_local(
       {2, 2}, {{DynamicBitset(2)}, {DynamicBitset(2)}});
   const auto machine = MachineSpec::uniform_local(2, 2);
-  EXPECT_THROW(solve_private_global(trace, machine), PreconditionError);
+  EXPECT_THROW(solve_private_global(SolveInstance(trace, machine)),
+               PreconditionError);
 }
 
 TEST(PrivateGlobal, InfeasibleDemandThrows) {
@@ -104,7 +106,8 @@ TEST(PrivateGlobal, InfeasibleDemandThrows) {
   trace.add_task(std::move(t0));
   trace.add_task(std::move(t1));
   const auto machine = pooled_machine();
-  EXPECT_THROW(solve_private_global(trace, machine), PreconditionError);
+  EXPECT_THROW(solve_private_global(SolveInstance(trace, machine)),
+               PreconditionError);
 }
 
 // Regression: blocks are solved against the parent machine with its
@@ -129,7 +132,8 @@ TEST(PrivateGlobal, BlockMachineKeepsPoolPublicAndZeroGlobalInit) {
     cd.cancel = cancel;
     return solve_coordinate_descent(block, cd);
   };
-  const auto result = solve_private_global(trace, machine, {}, config);
+  const auto result =
+      solve_private_global(SolveInstance(trace, machine), config);
   EXPECT_GT(blocks_seen, 0u);
   EXPECT_EQ(result.solution.total(),
             evaluate_fully_sync_switch(trace, machine,
@@ -157,7 +161,7 @@ TEST(PrivateGlobal, RejectsInnerSolutionsThatSplitTheBlock) {
     schedule.global_boundaries = {0, mid};  // extra mid-block boundary
     return make_solution(block, std::move(schedule));
   };
-  EXPECT_THROW(solve_private_global(trace, machine, {}, config),
+  EXPECT_THROW(solve_private_global(SolveInstance(trace, machine), config),
                PreconditionError);
 }
 
@@ -186,14 +190,15 @@ TEST(PrivateGlobal, MonotoneInfeasibilityPrunesInnerSolves) {
     cd.cancel = cancel;
     return solve_coordinate_descent(block, cd);
   };
-  EXPECT_THROW(solve_private_global(trace, machine, {}, config),
+  EXPECT_THROW(solve_private_global(SolveInstance(trace, machine), config),
                PreconditionError);
   EXPECT_EQ(invocations, 3u);
 }
 
 TEST(PrivateGlobal, ReportsInnerInvocationCount) {
   const auto trace = swapping_demand_trace(3);
-  const auto result = solve_private_global(trace, pooled_machine());
+  const auto result =
+      solve_private_global(SolveInstance(trace, pooled_machine()));
   EXPECT_GT(result.inner_invocations, 0u);
 }
 
@@ -202,7 +207,8 @@ TEST(PrivateGlobal, CandidateRestrictionIsHonoured) {
   const auto machine = pooled_machine();
   PrivateGlobalConfig config;
   config.candidates = {0, 4};  // exactly the demand-swap point
-  const auto result = solve_private_global(trace, machine, {}, config);
+  const auto result =
+      solve_private_global(SolveInstance(trace, machine), config);
   for (const std::size_t g : result.solution.schedule.global_boundaries) {
     EXPECT_TRUE(g == 0 || g == 4);
   }

@@ -24,8 +24,9 @@ TEST(SolverRegistry, AllSolversProduceValidConsistentSolutions) {
   EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                       false};
 
+  const SolveInstance instance(trace, machine, options);
   for (const auto& solver : standard_solvers()) {
-    const MTSolution solution = solver.solve(trace, machine, options);
+    const MTSolution solution = solver.solve(instance);
     EXPECT_NO_THROW(solution.schedule.validate(3, 24)) << solver.name;
     EXPECT_EQ(
         solution.total(),
@@ -42,7 +43,8 @@ TEST(MakeSolution, ReEvaluatesSchedule) {
              DynamicBitset::from_string("100")}});
   const auto machine = MachineSpec::local_only({3});
   const auto solution =
-      make_solution(trace, machine, MultiTaskSchedule::all_single(1, 2), {});
+      make_solution(SolveInstance(trace, machine),
+                    MultiTaskSchedule::all_single(1, 2));
   EXPECT_EQ(solution.total(), 3 + 3 * 2);
   EXPECT_EQ(solution.breakdown.hyper, 3);
   EXPECT_EQ(solution.breakdown.reconfig, 6);

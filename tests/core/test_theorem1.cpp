@@ -21,7 +21,7 @@ TEST(Theorem1Dp, MatchesExhaustiveOnTinyInstances) {
     const auto machine = MachineSpec::uniform_local(2, 5);
     EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                         false};
-    const auto exact = solve_exhaustive(trace, machine, options);
+    const auto exact = solve_exhaustive(SolveInstance(trace, machine, options));
     const auto dp = solve_theorem1_dp(trace, machine, options);
     EXPECT_EQ(dp.total(), exact.total()) << "seed " << seed;
   }
@@ -33,7 +33,7 @@ TEST(Theorem1Dp, MatchesExhaustiveThreeTasks) {
     const auto machine = MachineSpec::uniform_local(3, 4);
     EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                         false};
-    const auto exact = solve_exhaustive(trace, machine, options);
+    const auto exact = solve_exhaustive(SolveInstance(trace, machine, options));
     const auto dp = solve_theorem1_dp(trace, machine, options);
     EXPECT_EQ(dp.total(), exact.total()) << "seed " << seed;
   }
@@ -47,8 +47,9 @@ TEST(Theorem1Dp, MatchesExhaustiveAllDisciplines) {
     for (const auto reconfig :
          {UploadMode::kTaskParallel, UploadMode::kTaskSequential}) {
       EvalOptions options{hyper, reconfig, false};
-      EXPECT_EQ(solve_theorem1_dp(trace, machine, options).total(),
-                solve_exhaustive(trace, machine, options).total());
+      EXPECT_EQ(
+          solve_theorem1_dp(trace, machine, options).total(),
+          solve_exhaustive(SolveInstance(trace, machine, options)).total());
     }
   }
 }
@@ -70,7 +71,8 @@ TEST(Theorem1Dp, ScalesBeyondExhaustiveReach) {
   EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                       false};
   const auto dp = solve_theorem1_dp(trace, machine, options);
-  const auto descent = solve_coordinate_descent(trace, machine, options);
+  const auto descent =
+      solve_coordinate_descent(SolveInstance(trace, machine, options));
   EXPECT_LE(dp.total(), descent.total());
   EXPECT_NO_THROW(dp.schedule.validate(2, 40));
   EXPECT_EQ(dp.total(),

@@ -49,9 +49,9 @@ TEST(BatchEngine, ResultsKeepInputOrderAndMatchDirectSolving) {
     EXPECT_EQ(job.index, i);
     EXPECT_EQ(job.name, jobs[i].name);
     ASSERT_TRUE(job.ok) << job.error;
-    const PortfolioResult expected =
-        solve_portfolio(jobs[i].trace, jobs[i].machine, jobs[i].options,
-                        direct);
+    const PortfolioResult expected = solve_portfolio(
+        SolveInstance(jobs[i].trace, jobs[i].machine, jobs[i].options),
+        direct);
     EXPECT_EQ(job.solution.total(), expected.best.total()) << job.name;
     EXPECT_EQ(job.winner, expected.winner) << job.name;
     ASSERT_EQ(job.entries.size(), 2u);
@@ -83,8 +83,8 @@ TEST(BatchEngine, CustomSolverReplacesThePortfolio) {
   config.solver = [](const BatchJob& job, const CancelToken&) {
     MultiTaskSchedule schedule = MultiTaskSchedule::all_single(
         job.trace.task_count(), job.trace.steps());
-    return make_solution(job.trace, job.machine, std::move(schedule),
-                         job.options);
+    return make_solution(SolveInstance(job.trace, job.machine, job.options),
+                         std::move(schedule));
   };
   const BatchEngine engine_instance(std::move(config));
   const BatchResult result = engine_instance.solve(jobs);
@@ -104,8 +104,8 @@ TEST(BatchEngine, EngineWideCancelReachesEveryJob) {
     HYPERREC_ENSURE(token.cancelled(), "engine token did not propagate");
     MultiTaskSchedule schedule = MultiTaskSchedule::all_single(
         job.trace.task_count(), job.trace.steps());
-    return make_solution(job.trace, job.machine, std::move(schedule),
-                         job.options);
+    return make_solution(SolveInstance(job.trace, job.machine, job.options),
+                         std::move(schedule));
   };
   const BatchEngine engine_instance(std::move(config));
   const BatchResult result = engine_instance.solve(jobs);
@@ -124,8 +124,8 @@ TEST(BatchEngine, ParallelJobsOverlapOnTheSmokeWorkload) {
     std::this_thread::sleep_for(kJobTime);
     MultiTaskSchedule schedule = MultiTaskSchedule::all_single(
         job.trace.task_count(), job.trace.steps());
-    return make_solution(job.trace, job.machine, std::move(schedule),
-                         job.options);
+    return make_solution(SolveInstance(job.trace, job.machine, job.options),
+                         std::move(schedule));
   };
 
   BatchEngineConfig parallel;

@@ -31,8 +31,9 @@ void expect_untorn(const WorkloadInstance& instance, const MTSolution& solution,
   ASSERT_NO_THROW(solution.schedule.validate(instance.trace.task_count(),
                                              instance.trace.steps()))
       << label;
-  const MTSolution check = make_solution(instance.trace, instance.machine,
-                                         solution.schedule, options);
+  const MTSolution check =
+      make_solution(SolveInstance(instance.trace, instance.machine, options),
+                    solution.schedule);
   EXPECT_EQ(check.breakdown.total, solution.breakdown.total) << label;
   EXPECT_EQ(check.breakdown.hyper, solution.breakdown.hyper) << label;
   EXPECT_EQ(check.breakdown.reconfig, solution.breakdown.reconfig) << label;
@@ -44,8 +45,8 @@ TEST(DeadlineContract, AnnealingWithExpiredTokenReturnsUntornIncumbent) {
   for (const WorkloadInstance& instance : contract_instances()) {
     SaConfig config;
     config.cancel = CancelToken::expired();
-    const MTSolution solution =
-        solve_annealing(instance.trace, instance.machine, {}, config);
+    const SolveInstance problem(instance.trace, instance.machine);
+    const MTSolution solution = solve_annealing(problem, config);
     expect_untorn(instance, solution, {}, "annealing/" + instance.name);
   }
 }
@@ -54,8 +55,8 @@ TEST(DeadlineContract, GeneticWithExpiredTokenReturnsUntornIncumbent) {
   for (const WorkloadInstance& instance : contract_instances()) {
     GaConfig config;
     config.cancel = CancelToken::expired();
-    const MTSolution solution =
-        solve_genetic(instance.trace, instance.machine, {}, config).best;
+    const SolveInstance problem(instance.trace, instance.machine);
+    const MTSolution solution = solve_genetic(problem, config).best;
     expect_untorn(instance, solution, {}, "genetic/" + instance.name);
   }
 }
@@ -64,8 +65,8 @@ TEST(DeadlineContract, CoordinateDescentWithExpiredTokenReturnsUntornIncumbent) 
   for (const WorkloadInstance& instance : contract_instances()) {
     CoordinateDescentConfig config;
     config.cancel = CancelToken::expired();
-    const MTSolution solution =
-        solve_coordinate_descent(instance.trace, instance.machine, {}, config);
+    const SolveInstance problem(instance.trace, instance.machine);
+    const MTSolution solution = solve_coordinate_descent(problem, config);
     expect_untorn(instance, solution,
                   {}, "coord-descent/" + instance.name);
   }
@@ -73,9 +74,9 @@ TEST(DeadlineContract, CoordinateDescentWithExpiredTokenReturnsUntornIncumbent) 
 
 TEST(DeadlineContract, EveryRegistrySolverSurvivesAnExpiredToken) {
   const WorkloadInstance instance = contract_instances()[0];
+  const SolveInstance problem(instance.trace, instance.machine);
   for (const NamedSolver& solver : standard_solvers()) {
-    const MTSolution solution = solver.solve(instance.trace, instance.machine,
-                                             {}, CancelToken::expired());
+    const MTSolution solution = solver.solve(problem, CancelToken::expired());
     expect_untorn(instance, solution, {}, solver.name);
   }
 }
@@ -85,28 +86,22 @@ TEST(DeadlineContract, MidRunExpiryNeverTearsTheIncumbent) {
   // after) is the interesting race; sweep a few budgets to move the expiry
   // point around.
   const WorkloadInstance instance = contract_instances()[0];
+  const SolveInstance problem(instance.trace, instance.machine);
   for (const auto budget :
        {std::chrono::microseconds{200}, std::chrono::microseconds{2000},
         std::chrono::microseconds{20000}}) {
     SaConfig sa_config;
     sa_config.cancel = CancelToken::after(budget);
-    expect_untorn(instance,
-                  solve_annealing(instance.trace, instance.machine, {},
-                                  sa_config),
-                  {}, "annealing");
+    expect_untorn(instance, solve_annealing(problem, sa_config), {},
+                  "annealing");
     GaConfig ga_config;
     ga_config.cancel = CancelToken::after(budget);
-    expect_untorn(instance,
-                  solve_genetic(instance.trace, instance.machine, {},
-                                ga_config)
-                      .best,
-                  {}, "genetic");
+    expect_untorn(instance, solve_genetic(problem, ga_config).best, {},
+                  "genetic");
     CoordinateDescentConfig cd_config;
     cd_config.cancel = CancelToken::after(budget);
-    expect_untorn(instance,
-                  solve_coordinate_descent(instance.trace, instance.machine,
-                                           {}, cd_config),
-                  {}, "coord-descent");
+    expect_untorn(instance, solve_coordinate_descent(problem, cd_config), {},
+                  "coord-descent");
   }
 }
 
@@ -116,8 +111,8 @@ TEST(DeadlineContract, PortfolioUnderFiveMsDeadlineIsFeasibleOnEveryFamily) {
   for (const WorkloadInstance& instance : contract_instances()) {
     PortfolioConfig config;
     config.deadline = std::chrono::milliseconds{5};
-    const PortfolioResult result =
-        solve_portfolio(instance.trace, instance.machine, {}, config);
+    const SolveInstance problem(instance.trace, instance.machine);
+    const PortfolioResult result = solve_portfolio(problem, config);
     EXPECT_FALSE(result.winner.empty()) << instance.name;
     expect_untorn(instance, result.best, {}, "portfolio/" + instance.name);
   }

@@ -21,7 +21,7 @@ WorkloadInstance small_instance() {
 TEST(Portfolio, EmptyConfigRacesTheWholeLineUp) {
   const WorkloadInstance instance = small_instance();
   const PortfolioResult result =
-      solve_portfolio(instance.trace, instance.machine);
+      solve_portfolio(SolveInstance(instance.trace, instance.machine));
   EXPECT_EQ(result.entries.size(), standard_solvers().size());
   EXPECT_FALSE(result.winner.empty());
 }
@@ -31,7 +31,7 @@ TEST(Portfolio, WinnerHasTheMinimumTotalAmongMembers) {
   PortfolioConfig config;
   config.solvers = {"aligned-dp", "greedy-w8", "coord-descent"};
   const PortfolioResult result =
-      solve_portfolio(instance.trace, instance.machine, {}, config);
+      solve_portfolio(SolveInstance(instance.trace, instance.machine), config);
   ASSERT_EQ(result.entries.size(), 3u);
   Cost minimum = result.entries.front().total;
   for (const PortfolioEntry& entry : result.entries) {
@@ -49,7 +49,8 @@ TEST(Portfolio, UnknownMemberNameIsAPreconditionError) {
   const WorkloadInstance instance = small_instance();
   PortfolioConfig config;
   config.solvers = {"aligned-dp", "no-such-solver"};
-  EXPECT_THROW(solve_portfolio(instance.trace, instance.machine, {}, config),
+  EXPECT_THROW(solve_portfolio(SolveInstance(instance.trace, instance.machine),
+                               config),
                PreconditionError);
 }
 
@@ -61,10 +62,9 @@ TEST(Portfolio, SerialAndParallelAgreeWithoutADeadline) {
   serial.parallel = false;
   PortfolioConfig parallel;
   parallel.parallel = true;
-  const PortfolioResult a =
-      solve_portfolio(instance.trace, instance.machine, {}, serial);
-  const PortfolioResult b =
-      solve_portfolio(instance.trace, instance.machine, {}, parallel);
+  const SolveInstance problem(instance.trace, instance.machine);
+  const PortfolioResult a = solve_portfolio(problem, serial);
+  const PortfolioResult b = solve_portfolio(problem, parallel);
   ASSERT_EQ(a.entries.size(), b.entries.size());
   for (std::size_t i = 0; i < a.entries.size(); ++i) {
     EXPECT_EQ(a.entries[i].solver, b.entries[i].solver);
@@ -79,7 +79,7 @@ TEST(Portfolio, CancelLosersStillReportsEveryMember) {
   PortfolioConfig config;
   config.cancel_losers = true;
   const PortfolioResult result =
-      solve_portfolio(instance.trace, instance.machine, {}, config);
+      solve_portfolio(SolveInstance(instance.trace, instance.machine), config);
   EXPECT_EQ(result.entries.size(), standard_solvers().size());
   for (const PortfolioEntry& entry : result.entries) {
     EXPECT_TRUE(entry.ok) << entry.solver << ": " << entry.error;
@@ -93,7 +93,7 @@ TEST(Portfolio, SerialCancelLosersSkipsMembersAfterTheFirstWin) {
   config.cancel_losers = true;
   config.parallel = false;
   const PortfolioResult result =
-      solve_portfolio(instance.trace, instance.machine, {}, config);
+      solve_portfolio(SolveInstance(instance.trace, instance.machine), config);
   ASSERT_EQ(result.entries.size(), 3u);
   EXPECT_TRUE(result.entries[0].ok) << result.entries[0].error;
   EXPECT_EQ(result.winner, "greedy-w8");
@@ -115,7 +115,8 @@ TEST(Portfolio, RaceFromInsideItsOwnPoolDegradesToSerialInsteadOfDeadlock) {
   config.parallel = true;
   config.pool = &pool;
   auto future = pool.submit([&]() {
-    return solve_portfolio(instance.trace, instance.machine, {}, config);
+    return solve_portfolio(SolveInstance(instance.trace, instance.machine),
+                           config);
   });
   const PortfolioResult result = future.get();
   EXPECT_EQ(result.entries.size(), 2u);
@@ -124,12 +125,12 @@ TEST(Portfolio, RaceFromInsideItsOwnPoolDegradesToSerialInsteadOfDeadlock) {
 
 TEST(Portfolio, ExternalCancelStillYieldsAFeasibleBest) {
   const WorkloadInstance instance = small_instance();
-  const PortfolioResult result = solve_portfolio(
-      instance.trace, instance.machine, {}, {}, CancelToken::expired());
+  const SolveInstance problem(instance.trace, instance.machine);
+  const PortfolioResult result =
+      solve_portfolio(problem, {}, CancelToken::expired());
   EXPECT_NO_THROW(result.best.schedule.validate(instance.trace.task_count(),
                                                 instance.trace.steps()));
-  const MTSolution check = make_solution(instance.trace, instance.machine,
-                                         result.best.schedule, {});
+  const MTSolution check = make_solution(problem, result.best.schedule);
   EXPECT_EQ(check.total(), result.best.total());
 }
 
@@ -166,10 +167,9 @@ TEST(Portfolio, AllRacersObserveTheSameSolveInstance) {
 
 TEST(Portfolio, BestBreakdownMatchesReEvaluation) {
   const WorkloadInstance instance = small_instance();
-  const PortfolioResult result =
-      solve_portfolio(instance.trace, instance.machine);
-  const MTSolution check = make_solution(instance.trace, instance.machine,
-                                         result.best.schedule, {});
+  const SolveInstance problem(instance.trace, instance.machine);
+  const PortfolioResult result = solve_portfolio(problem);
+  const MTSolution check = make_solution(problem, result.best.schedule);
   EXPECT_EQ(check.breakdown.total, result.best.breakdown.total);
   EXPECT_EQ(check.breakdown.hyper, result.best.breakdown.hyper);
   EXPECT_EQ(check.breakdown.reconfig, result.best.breakdown.reconfig);

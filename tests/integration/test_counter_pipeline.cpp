@@ -61,8 +61,8 @@ TEST(CounterPipeline, SingleTaskOptimumBeatsBaseline) {
 TEST(CounterPipeline, MultiTaskBeatsSingleTask) {
   const Pipeline pipeline;
   const auto single = solve_single_task_switch(pipeline.single.task(0), 48);
-  const auto multi =
-      solve_coordinate_descent(pipeline.multi, pipeline.m4, paper_options());
+  const SolveInstance instance(pipeline.multi, pipeline.m4, paper_options());
+  const auto multi = solve_coordinate_descent(instance);
   EXPECT_LT(multi.total(), single.total)
       << "partial hyperreconfiguration must improve on the single-task case "
          "(paper: 2813 < 3761)";
@@ -70,14 +70,13 @@ TEST(CounterPipeline, MultiTaskBeatsSingleTask) {
 
 TEST(CounterPipeline, GaAndCoordinateDescentAgreeClosely) {
   const Pipeline pipeline;
-  const auto descent =
-      solve_coordinate_descent(pipeline.multi, pipeline.m4, paper_options());
+  const SolveInstance instance(pipeline.multi, pipeline.m4, paper_options());
+  const auto descent = solve_coordinate_descent(instance);
   GaConfig config;
   config.generations = 250;
   config.population = 96;
   config.seed = 1;
-  const auto ga =
-      solve_genetic(pipeline.multi, pipeline.m4, paper_options(), config);
+  const auto ga = solve_genetic(instance, config);
   EXPECT_LE(std::abs(ga.best.total() - descent.total()),
             descent.total() / 20)
       << "two independent optimisers should land within 5%";
@@ -96,8 +95,8 @@ TEST(CounterPipeline, SingleTaskDpAgreesWithEvaluator) {
 
 TEST(CounterPipeline, MultiTaskUsesCheaperPartialSteps) {
   const Pipeline pipeline;
-  const auto multi =
-      solve_coordinate_descent(pipeline.multi, pipeline.m4, paper_options());
+  const SolveInstance instance(pipeline.multi, pipeline.m4, paper_options());
+  const auto multi = solve_coordinate_descent(instance);
   // In the multi-task case a partial hyperreconfiguration costs at most
   // max_j v_j = 24 < 48, so the per-step hyper charges must all be ≤ 24.
   for (const auto& step : multi.breakdown.per_step) {
@@ -107,10 +106,9 @@ TEST(CounterPipeline, MultiTaskUsesCheaperPartialSteps) {
 
 TEST(CounterPipeline, GreedyIsWeakerButValid) {
   const Pipeline pipeline;
-  const auto greedy =
-      solve_greedy(pipeline.multi, pipeline.m4, paper_options());
-  const auto descent =
-      solve_coordinate_descent(pipeline.multi, pipeline.m4, paper_options());
+  const SolveInstance instance(pipeline.multi, pipeline.m4, paper_options());
+  const auto greedy = solve_greedy(instance);
+  const auto descent = solve_coordinate_descent(instance);
   EXPECT_GE(greedy.total(), descent.total());
   EXPECT_LT(greedy.total(), pipeline.baseline);
 }

@@ -26,7 +26,7 @@ TEST(CrossCheck, SingleTaskDpEqualsExhaustiveSolver) {
     const auto machine = MachineSpec::local_only({5});
 
     const auto dp = solve_single_task_switch(trace.task(0), 5);
-    const auto exhaustive = solve_exhaustive(trace, machine, {});
+    const auto exhaustive = solve_exhaustive(SolveInstance(trace, machine));
     EXPECT_EQ(dp.total, exhaustive.total()) << "round " << round;
   }
 }
@@ -85,8 +85,9 @@ TEST(CrossCheck, AlignedDpIsUpperBoundForCoordinateDescent) {
     const auto machine = MachineSpec::uniform_local(4, 10);
     EvalOptions options{UploadMode::kTaskParallel, UploadMode::kTaskSequential,
                         false};
-    EXPECT_LE(solve_coordinate_descent(trace, machine, options).total(),
-              solve_aligned_dp(trace, machine, options).total())
+    const SolveInstance instance(trace, machine, options);
+    EXPECT_LE(solve_coordinate_descent(instance).total(),
+              solve_aligned_dp(instance).total())
         << "seed " << seed;
   }
 }
@@ -100,7 +101,8 @@ TEST(CrossCheck, UploadDisciplinesOrderCosts) {
   config.task_config.universe = 8;
   const auto trace = workload::make_multi_phased(config, 5);
   const auto machine = MachineSpec::uniform_local(3, 8);
-  const auto schedule = solve_aligned_dp(trace, machine, {}).schedule;
+  const auto schedule =
+      solve_aligned_dp(SolveInstance(trace, machine)).schedule;
 
   const Cost pp = evaluate_fully_sync_switch(
                       trace, machine, schedule,
@@ -132,7 +134,8 @@ TEST(CrossCheck, AsyncNeverExceedsFullySyncSequential) {
   config.task_config.universe = 6;
   const auto trace = workload::make_multi_phased(config, 9);
   const auto machine = MachineSpec::uniform_local(3, 6);
-  const auto schedule = solve_aligned_dp(trace, machine, {}).schedule;
+  const auto schedule =
+      solve_aligned_dp(SolveInstance(trace, machine)).schedule;
 
   const Cost async = evaluate_async_switch(trace, machine, schedule, {}).total;
   const Cost sync =

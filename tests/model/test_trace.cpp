@@ -139,5 +139,38 @@ TEST(MultiTaskTrace, FromLocalSizeMismatchThrows) {
   EXPECT_THROW(MultiTaskTrace::from_local({2}, {}), PreconditionError);
 }
 
+TEST(MultiTaskTrace, SliceMatchesPerStepCopyAcrossWordSeams) {
+  // Tasks with different universes on each side of the 64-bit word seam.
+  MultiTaskTrace trace;
+  for (const std::size_t universe : {std::size_t{63}, std::size_t{64},
+                                     std::size_t{65}}) {
+    TaskTrace task(universe);
+    for (std::size_t i = 0; i < 10; ++i) {
+      DynamicBitset bits(universe);
+      bits.set((i * 7) % universe);
+      bits.set(universe - 1 - (i % universe));
+      task.push_back({std::move(bits), static_cast<std::uint32_t>(i % 4)});
+    }
+    trace.add_task(std::move(task));
+  }
+  for (const auto& [lo, hi] : {std::pair<std::size_t, std::size_t>{0, 10},
+                               {2, 7}, {4, 4}, {9, 10}}) {
+    const MultiTaskTrace cut = trace.slice(lo, hi);
+    ASSERT_EQ(cut.task_count(), trace.task_count());
+    for (std::size_t j = 0; j < trace.task_count(); ++j) {
+      const TaskTrace& task = cut.task(j);
+      EXPECT_EQ(task.local_universe(), trace.task(j).local_universe());
+      ASSERT_EQ(task.size(), hi - lo) << "[" << lo << "," << hi << ")";
+      for (std::size_t i = lo; i < hi; ++i) {
+        EXPECT_TRUE(task.at(i - lo).local == trace.task(j).at(i).local);
+        EXPECT_EQ(task.at(i - lo).private_demand,
+                  trace.task(j).at(i).private_demand);
+      }
+    }
+  }
+  EXPECT_THROW((void)trace.slice(3, 2), PreconditionError);
+  EXPECT_THROW((void)trace.slice(0, 11), PreconditionError);
+}
+
 }  // namespace
 }  // namespace hyperrec

@@ -29,7 +29,6 @@ void check_certificate_bracket(const MultiTaskTrace& trace,
 
   HierarchicalConfig config;
   config.segment = 3;  // force multiple segments on ≥4-step traces
-  config.parallel = false;
   const auto result = solve_hierarchical(instance, config);
 
   // Spliced schedule must be exactly what the evaluator charges for it.

@@ -63,7 +63,8 @@ TEST_P(ExhaustiveMatchesBruteForce, OnRandomPhasedTraces) {
   const auto trace = workload::make_multi_phased(config, param.seed);
   const auto machine = MachineSpec::uniform_local(param.tasks, param.universe);
   const EvalOptions options{param.hyper, param.reconfig, false};
-  const auto exhaustive = solve_exhaustive(trace, machine, options);
+  const auto exhaustive =
+      solve_exhaustive(SolveInstance(trace, machine, options));
   EXPECT_EQ(exhaustive.total(),
             testutil::brute_force_multi_task(trace, machine, options));
 }
@@ -106,8 +107,9 @@ TEST_P(AlignedDpProperty, MatchesAlignedBruteForceAllDisciplines) {
     for (const auto reconfig :
          {UploadMode::kTaskParallel, UploadMode::kTaskSequential}) {
       const EvalOptions options{hyper, reconfig, false};
-      EXPECT_EQ(solve_aligned_dp(trace, machine, options).total(),
-                testutil::brute_force_aligned(trace, machine, options));
+      EXPECT_EQ(
+          solve_aligned_dp(SolveInstance(trace, machine, options)).total(),
+          testutil::brute_force_aligned(trace, machine, options));
     }
   }
 }

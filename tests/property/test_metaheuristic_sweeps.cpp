@@ -49,7 +49,8 @@ TEST_P(GaParameterSweep, ValidAndNearOptimal) {
   config.crossover_rate = param.crossover;
   config.mutation_rate = param.mutation;
   config.seed = param.seed;
-  const auto result = solve_genetic(trace_, machine_, options_, config);
+  const auto result =
+      solve_genetic(SolveInstance(trace_, machine_, options_), config);
 
   EXPECT_NO_THROW(result.best.schedule.validate(2, 24));
   EXPECT_EQ(result.best.total(),
@@ -87,7 +88,7 @@ TEST_P(SaParameterSweep, ValidAcrossCoolingSchedules) {
     sa.iterations = 3000;
     sa.cooling = cooling;
     sa.seed = GetParam();
-    const auto solution = solve_annealing(trace, machine, {}, sa);
+    const auto solution = solve_annealing(SolveInstance(trace, machine), sa);
     EXPECT_NO_THROW(solution.schedule.validate(3, 20));
     EXPECT_EQ(
         solution.total(),

@@ -44,9 +44,9 @@ TEST_P(SolverOrdering, PartialHyperreconfigurationDominatesAligned) {
   // The partially hyperreconfigurable machine class strictly generalises the
   // partially reconfigurable one (§3), so the best per-task schedule is at
   // most the best aligned schedule.
-  const auto aligned = solve_aligned_dp(trace_, machine_, options_);
-  const auto descent =
-      solve_coordinate_descent(trace_, machine_, options_);
+  const SolveInstance instance(trace_, machine_, options_);
+  const auto aligned = solve_aligned_dp(instance);
+  const auto descent = solve_coordinate_descent(instance);
   EXPECT_LE(descent.total(), aligned.total());
 }
 
@@ -64,14 +64,15 @@ TEST_P(SolverOrdering, HeuristicsNeverBeatExhaustiveOnTinyPrefix) {
   if (trace_.task_count() * (prefix - 1) > 24) {
     GTEST_SKIP() << "instance too large for exhaustive search";
   }
-  const auto exact = solve_exhaustive(small, machine_, options_);
-  const auto descent = solve_coordinate_descent(small, machine_, options_);
-  const auto greedy = solve_greedy(small, machine_, options_);
+  const SolveInstance instance(small, machine_, options_);
+  const auto exact = solve_exhaustive(instance);
+  const auto descent = solve_coordinate_descent(instance);
+  const auto greedy = solve_greedy(instance);
   GaConfig ga_config;
   ga_config.population = 24;
   ga_config.generations = 40;
   ga_config.seed = GetParam().seed;
-  const auto ga = solve_genetic(small, machine_, options_, ga_config);
+  const auto ga = solve_genetic(instance, ga_config);
 
   EXPECT_LE(exact.total(), descent.total());
   EXPECT_LE(exact.total(), greedy.total());
@@ -84,7 +85,8 @@ TEST_P(SolverOrdering, AllSchedulesBeatOrMatchNoHyperBaselineCeiling) {
   // baseline outright on phased workloads.
   const Cost baseline =
       no_hyperreconfiguration_cost(machine_, trace_.steps());
-  const auto descent = solve_coordinate_descent(trace_, machine_, options_);
+  const auto descent =
+      solve_coordinate_descent(SolveInstance(trace_, machine_, options_));
   EXPECT_LT(descent.total(), baseline);
 }
 
@@ -107,7 +109,8 @@ TEST_P(SolverOrdering, SingleTaskViewIsUpperBoundForMultiTaskView) {
   }
   const auto single = solve_single_task_switch(
       merged, static_cast<Cost>(total_universe));
-  const auto descent = solve_coordinate_descent(trace_, machine_, options_);
+  const auto descent =
+      solve_coordinate_descent(SolveInstance(trace_, machine_, options_));
   EXPECT_LE(descent.total(), single.total);
 }
 

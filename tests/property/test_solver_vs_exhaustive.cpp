@@ -28,9 +28,10 @@ TEST_P(SolverVsExhaustive, NeverBeatsOptimumAndStaysConsistent) {
     const EvalOptions options{UploadMode::kTaskParallel,
                               UploadMode::kTaskSequential, false};
 
-    const Cost optimum = solve_exhaustive(trace, machine, options).total();
+    const SolveInstance instance(trace, machine, options);
+    const Cost optimum = solve_exhaustive(instance).total();
     for (const NamedSolver& solver : standard_solvers()) {
-      const MTSolution solution = solver.solve(trace, machine, options);
+      const MTSolution solution = solver.solve(instance);
       EXPECT_NO_THROW(solution.schedule.validate(m, n))
           << solver.name << " round " << round;
       EXPECT_EQ(solution.total(),
@@ -57,10 +58,11 @@ TEST_P(SolverVsExhaustive, SingleTaskSolversHitTheOptimum) {
     const auto machine = MachineSpec::uniform_local(1, universe);
     const EvalOptions options{UploadMode::kTaskParallel,
                               UploadMode::kTaskSequential, false};
-    const Cost optimum = solve_exhaustive(trace, machine, options).total();
+    const SolveInstance instance(trace, machine, options);
+    const Cost optimum = solve_exhaustive(instance).total();
     for (const NamedSolver& solver : standard_solvers()) {
       if (solver.name != "aligned-dp") continue;
-      EXPECT_EQ(solver.solve(trace, machine, options).total(), optimum)
+      EXPECT_EQ(solver.solve(instance).total(), optimum)
           << solver.name << " round " << round;
     }
   }

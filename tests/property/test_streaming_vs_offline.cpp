@@ -103,7 +103,7 @@ TEST(StreamingVsOffline, FuzzedGrowingTracesStayConsistentAndCostBounded) {
         offline.solvers = {"aligned-dp", "greedy-w8"};
         offline.parallel = false;
         const engine::PortfolioResult reference = engine::solve_portfolio(
-            scenario.trace, scenario.machine, EvalOptions{}, offline);
+            SolveInstance(scenario.trace, scenario.machine), offline);
         EXPECT_LE(static_cast<double>(streamed.total()),
                   kCostFactor * static_cast<double>(reference.best.total()))
             << "stream " << streamed.total() << " vs offline "

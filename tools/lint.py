@@ -23,6 +23,11 @@ Rules (each reported as ``file:line: [rule-id] message``):
                  in src/, examples/ and bench/ outside that layer, so hot
                  loops cannot quietly fork from the dispatched kernels
                  (use kernels::popcount_word for one-off words).
+  cost-sentinel  the DP "unreachable" sentinel lives only in
+                 support/cost_math.hpp (kCostInfinity): no other file may
+                 define a const Cost from std::numeric_limits<Cost>::max()
+                 or alias kCostInfinity under a local name.  Running-minimum
+                 initialisers (non-const `Cost best = ...max()`) are fine.
 
 Run from anywhere: `python3 tools/lint.py` (add `--root DIR` to lint a
 different tree, `--self-test` to prove every rule fires on a seeded
@@ -38,6 +43,9 @@ import tempfile
 from pathlib import Path
 
 CXX_SUFFIXES = {".cpp", ".hpp", ".cc", ".hh", ".cxx", ".h"}
+
+# The one home of the Cost sentinel.
+COST_SENTINEL_HOME = "src/support/cost_math.hpp"
 
 # Relative paths (posix) allowed to hold raw std lock types.
 RAW_MUTEX_ALLOWLIST = {
@@ -70,6 +78,13 @@ NEW_RE = re.compile(r"\bnew\b\s*(?:\(|[A-Za-z_:])")
 DELETE_RE = re.compile(r"\bdelete\b\s*(?:\[\s*\]\s*)?[A-Za-z_:(*]")
 VECTOR_RE = re.compile(r"\bstd::vector\s*<")
 POPCOUNT_RE = re.compile(r"__builtin_popcount\w*|\bstd::popcount\b")
+COST_SENTINEL_RE = re.compile(
+    r"\b(?:(?:static|inline)\s+)*(?:constexpr|const)\s+"
+    r"(?:(?:static|inline)\s+)*(?:hyperrec::)?(?:Cost|auto)\s+\w+\s*"
+    r"(?:=|\{)\s*"
+    r"(?:std::numeric_limits\s*<\s*Cost\s*>\s*::\s*max\b|"
+    r"kCostInfinity\s*[;}])"
+)
 
 HOT_LOOP_BEGIN = "lint: hot-loop begin"
 HOT_LOOP_END = "lint: hot-loop end"
@@ -135,6 +150,7 @@ def lint_file(path: Path, rel: str, violations: list[Violation]) -> None:
     check_mutex = in_src and rel not in RAW_MUTEX_ALLOWLIST
     check_new = in_src and rel not in NAKED_NEW_ALLOWLIST
     check_popcount = rel not in WORD_KERNEL_ALLOWLIST
+    check_sentinel = rel != COST_SENTINEL_HOME
 
     # Raw-line scan for the hot-loop fences (they live in comments).
     fenced: set[int] = set()
@@ -174,6 +190,11 @@ def lint_file(path: Path, rel: str, violations: list[Violation]) -> None:
                 path, number, "word-kernel",
                 "raw popcount outside support/bitset_kernels — use the "
                 "kernels:: wrappers (kernels::popcount_word for one word)"))
+        if check_sentinel and COST_SENTINEL_RE.search(code):
+            violations.append(Violation(
+                path, number, "cost-sentinel",
+                "local Cost sentinel — use kCostInfinity from "
+                "support/cost_math.hpp"))
         if in_src and number in fenced and VECTOR_RE.search(code):
             violations.append(Violation(
                 path, number, "hot-loop-alloc",
@@ -197,7 +218,7 @@ def lint_tree(root: Path) -> list[Violation]:
 # --- self-test fixtures: one seeded violation per rule -----------------------
 
 FIXTURES = {
-    # rule id -> (relative path, file contents, expected violation line)
+    # rule id -> (relative path, file contents, expected violation line(s))
     "naive-call": (
         "src/core/bad_naive.cpp",
         "int use() { return helper_naive(0, 1); }\n",
@@ -232,6 +253,14 @@ FIXTURES = {
         "}\n",
         4,
     ),
+    "cost-sentinel": (
+        "src/core/bad_sentinel.cpp",
+        "#include <limits>\n"
+        "constexpr Cost kInfinity = std::numeric_limits<Cost>::max() / 4;\n"
+        "static const Cost kAlias = kCostInfinity;\n"
+        "constexpr auto kUnreachable{std::numeric_limits<Cost>::max()};\n",
+        (2, 3, 4),
+    ),
 }
 
 CLEAN_FIXTURE = (
@@ -245,7 +274,9 @@ CLEAN_FIXTURE = (
     "  // lint: hot-loop end\n"
     "  std::vector<int> fine_outside_fence(8);\n"
     "}\n"
-    "struct S { S(const S&) = delete; };\n",
+    "struct S { S(const S&) = delete; };\n"
+    "Cost running_min() { Cost best = std::numeric_limits<Cost>::max();\n"
+    "  return best < kCostInfinity ? best : kCostInfinity; }\n",
 )
 
 
@@ -267,14 +298,15 @@ def self_test() -> int:
             rel = violation.path.relative_to(root).as_posix()
             by_file.setdefault(rel, []).append(violation)
 
-        for rule, (rel, _contents, line) in FIXTURES.items():
+        for rule, (rel, _contents, lines) in FIXTURES.items():
             hits = [v for v in by_file.get(rel, []) if v.rule == rule]
-            if any(v.line == line for v in hits):
-                print(f"self-test: {rule}: fired at {rel}:{line} (ok)")
-            else:
-                print(f"self-test: {rule}: MISSED expected violation at "
-                      f"{rel}:{line}", file=sys.stderr)
-                failures += 1
+            for line in lines if isinstance(lines, tuple) else (lines,):
+                if any(v.line == line for v in hits):
+                    print(f"self-test: {rule}: fired at {rel}:{line} (ok)")
+                else:
+                    print(f"self-test: {rule}: MISSED expected violation at "
+                          f"{rel}:{line}", file=sys.stderr)
+                    failures += 1
 
         clean_rel = CLEAN_FIXTURE[0]
         stray = by_file.get(clean_rel, [])
