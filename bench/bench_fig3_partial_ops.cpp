@@ -88,11 +88,10 @@ int main(int argc, char** argv) {
               "T1..T3 (cost 8)\n",
               all_four, with_t4, only_cheap);
 
-  // Per-step cost of a partial hyperreconfiguration never exceeds max v_j.
-  bool bounded = true;
-  for (const auto& step : solution.breakdown.per_step) {
-    bounded = bounded && step.hyper <= 24;
-  }
+  // A partial hyperreconfiguration costs at most max v_j per step.
+  const bool bounded =
+      solution.breakdown.hyper <=
+      24 * static_cast<Cost>(solution.breakdown.partial_hyper_steps);
   std::printf("per-step hyper cost <= max_j v_j = 24: %s\n",
               bounded ? "yes" : "NO");
   return 0;

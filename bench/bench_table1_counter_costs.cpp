@@ -88,12 +88,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(multi_best.total()),
               static_cast<long long>(single_opt.total));
   std::printf("  multi-task hyper steps cost <= 24:  %s\n",
-              [&] {
-                for (const auto& step : multi_best.breakdown.per_step) {
-                  if (step.hyper > 24) return false;
-                }
-                return true;
-              }()
+              multi_best.breakdown.hyper <=
+                      24 * static_cast<Cost>(
+                               multi_best.breakdown.partial_hyper_steps)
                   ? "yes"
                   : "NO");
   return 0;

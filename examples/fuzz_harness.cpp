@@ -2,6 +2,7 @@
 // solver vs the exhaustive oracle.
 //
 //   fuzz_harness [--seed=S] [--iters=N] [--smoke] [--mux] [--hierarchical]
+//                [--exact-class]
 //
 //     --seed=S   root seed (default 1); iteration i fuzzes stream S+i, so a
 //                failure's reproducer is `--seed=<printed seed> --iters=1`
@@ -22,6 +23,15 @@
 //                DP must split blocks, and the optimum comes from
 //                solve_private_global (exhaustive blocks, every step a
 //                candidate) instead
+//     --exact-class
+//                exact fast-path differential mode: each iteration draws an
+//                instance inside the aligned DP's exact class (random task
+//                and step counts, one universe and one v for every task,
+//                either reconfig upload mode; core/aligned_dp.hpp) and
+//                checks that the default portfolio's answer — the aligned
+//                DP alone — equals the minimum over every standard_solvers()
+//                member run directly, and the exhaustive optimum whenever
+//                m(n−1) ≤ 24
 //
 // Each iteration draws a random instance small enough for solve_exhaustive
 // (random workload family, task count, step count, universes, machine costs,
@@ -46,15 +56,18 @@
 #include <string>
 #include <vector>
 
+#include "core/aligned_dp.hpp"
 #include "core/exhaustive.hpp"
 #include "core/hierarchical.hpp"
 #include "core/private_global.hpp"
 #include "core/solver.hpp"
+#include "engine/portfolio.hpp"
 #include "io/trace_io.hpp"
 #include "model/cost_switch.hpp"
 #include "model/instance.hpp"
 #include "model/trace_stats.hpp"
 #include "streaming/stream_multiplexer.hpp"
+#include "support/cost_math.hpp"
 #include "support/rng.hpp"
 #include "workload/generators.hpp"
 
@@ -109,13 +122,14 @@ FuzzInstance draw_instance(Xoshiro256& rng) {
   return fuzz;
 }
 
+/// `mode` is the harness flag (with a trailing space) that selects the
+/// failing iteration's mode, so the printed command reproduces it.
 void dump_reproducer(const FuzzInstance& fuzz, std::uint64_t seed,
                      const std::string& solver, const std::string& what,
-                     bool mux_mode = false) {
+                     const char* mode = "") {
   std::fprintf(stderr, "\n=== FUZZ FAILURE ===\n");
   std::fprintf(stderr, "reproduce: fuzz_harness %s--seed=%llu --iters=1\n",
-               mux_mode ? "--mux " : "",
-               static_cast<unsigned long long>(seed));
+               mode, static_cast<unsigned long long>(seed));
   std::fprintf(stderr, "solver: %s\nfamily: %s\nproblem: %s\n", solver.c_str(),
                fuzz.family.c_str(), what.c_str());
   std::fprintf(
@@ -293,7 +307,7 @@ bool check_mux_iteration(std::uint64_t seed) {
       }
     }
     if (!what.empty()) {
-      dump_reproducer(fleet[j], seed, tag, what, /*mux_mode=*/true);
+      dump_reproducer(fleet[j], seed, tag, what, "--mux ");
       return false;
     }
   }
@@ -379,13 +393,15 @@ bool check_hierarchical_iteration(std::uint64_t seed) {
         dump_reproducer(fuzz, seed, "private-global",
                         "reported cost " + std::to_string(blocks.total()) +
                             " != re-evaluated cost " +
-                            std::to_string(replay));
+                            std::to_string(replay),
+                        "--hierarchical ");
         return false;
       }
       optimum = blocks.total();
     } catch (const std::exception& error) {
       dump_reproducer(fuzz, seed, "private-global",
-                      std::string("solver threw: ") + error.what());
+                      std::string("solver threw: ") + error.what(),
+                      "--hierarchical ");
       return false;
     }
   } else {
@@ -396,7 +412,8 @@ bool check_hierarchical_iteration(std::uint64_t seed) {
     result = solve_hierarchical(instance, config);
   } catch (const std::exception& error) {
     dump_reproducer(fuzz, seed, tag,
-                    std::string("solver threw: ") + error.what());
+                    std::string("solver threw: ") + error.what(),
+                    "--hierarchical ");
     return false;
   }
   const MTSolution& solution = result.solution;
@@ -408,29 +425,117 @@ bool check_hierarchical_iteration(std::uint64_t seed) {
       dump_reproducer(fuzz, seed, tag,
                       "reported cost " + std::to_string(solution.total()) +
                           " != re-evaluated cost " +
-                          std::to_string(replay.total));
+                          std::to_string(replay.total),
+                      "--hierarchical ");
       return false;
     }
   } catch (const std::exception& error) {
     dump_reproducer(fuzz, seed, tag,
-                    std::string("spliced schedule invalid: ") + error.what());
+                    std::string("spliced schedule invalid: ") + error.what(),
+                    "--hierarchical ");
     return false;
   }
   if (solution.total() < optimum) {
     dump_reproducer(fuzz, seed, tag,
                     "cost " + std::to_string(solution.total()) +
-                        " beats the optimum " + std::to_string(optimum));
+                        " beats the optimum " + std::to_string(optimum),
+                    "--hierarchical ");
     return false;
   }
   if (!solution.lower_bound.has_value()) {
-    dump_reproducer(fuzz, seed, tag, "missing lower_bound certificate");
+    dump_reproducer(fuzz, seed, tag, "missing lower_bound certificate",
+                    "--hierarchical ");
     return false;
   }
   if (*solution.lower_bound > optimum) {
     dump_reproducer(fuzz, seed, tag,
                     "lower bound " + std::to_string(*solution.lower_bound) +
-                        " exceeds the optimum " + std::to_string(optimum));
+                        " exceeds the optimum " + std::to_string(optimum),
+                    "--hierarchical ");
     return false;
+  }
+  return true;
+}
+
+/// A random instance inside the aligned DP's exact class
+/// (aligned_dp_is_exact): one universe and one v for every task, no global
+/// resources, task-parallel hyper upload, no changeover, either reconfig
+/// upload mode.  Nine draws in ten keep m(n−1) ≤ 16, where exhaustive
+/// search takes milliseconds; the rest range up to 41 steps, so the
+/// seconds-long searches near the m(n−1) ≤ 24 cap stay rare.
+FuzzInstance draw_exact_class_instance(Xoshiro256& rng) {
+  FuzzInstance fuzz;
+  const std::vector<std::string>& kinds = workload::family_names();
+  fuzz.family = kinds[rng.uniform(kinds.size())];
+  const std::size_t tasks = 1 + rng.uniform(4);  // 1..4
+  const std::size_t steps =
+      2 + rng.uniform(rng.flip(0.9) ? 16 / tasks : 40);
+  const std::size_t universe = 1 + rng.uniform(12);  // 1..12
+  for (std::size_t j = 0; j < tasks; ++j) {
+    Xoshiro256 task_rng = rng.split(j + 1);
+    fuzz.trace.add_task(
+        workload::make_family(fuzz.family, steps, universe, task_rng));
+  }
+  const Cost v = static_cast<Cost>(rng.uniform(3 * universe + 1));
+  fuzz.machine.tasks.assign(tasks, TaskSpec{universe, v});
+  fuzz.options.reconfig_upload =
+      rng.flip(0.5) ? UploadMode::kTaskParallel : UploadMode::kTaskSequential;
+  return fuzz;
+}
+
+/// One --exact-class iteration: the default portfolio takes the exact fast
+/// path, so its answer must equal the best of every standard_solvers()
+/// member run directly, and the exhaustive optimum when it is in reach.
+bool check_exact_class_iteration(std::uint64_t seed) {
+  Xoshiro256 rng(seed * 0x9E3779B97F4A7C15ull + 0xE8AC7);
+  const FuzzInstance fuzz = draw_exact_class_instance(rng);
+  const SolveInstance instance(fuzz.trace, fuzz.machine, fuzz.options);
+  const auto fail = [&](const std::string& solver, const std::string& what) {
+    dump_reproducer(fuzz, seed, solver, what, "--exact-class ");
+    return false;
+  };
+  if (!aligned_dp_is_exact(instance)) {
+    return fail("aligned-dp", "drawn instance is outside the exact class");
+  }
+  engine::PortfolioConfig config;
+  config.parallel = false;
+  config.certify = true;
+  engine::PortfolioResult portfolio;
+  try {
+    portfolio = engine::solve_portfolio(instance, config);
+  } catch (const std::exception& error) {
+    return fail("portfolio", std::string("portfolio threw: ") + error.what());
+  }
+  const Cost total = portfolio.best.total();
+  if (portfolio.winner != "aligned-dp" ||
+      portfolio.best.lower_bound != total) {
+    return fail("portfolio", "fast path not taken or not self-certified");
+  }
+  Cost best_member = kCostInfinity;
+  std::string best_name;
+  for (const NamedSolver& solver : standard_solvers()) {
+    try {
+      const Cost member = solver.solve(instance).total();
+      if (member < best_member) {
+        best_member = member;
+        best_name = solver.name;
+      }
+    } catch (const std::exception& error) {
+      return fail(solver.name, std::string("solver threw: ") + error.what());
+    }
+  }
+  if (best_member != total) {
+    return fail(best_name, "best member cost " + std::to_string(best_member) +
+                               " != portfolio cost " + std::to_string(total));
+  }
+  const std::size_t m = instance.task_count();
+  if (m * (instance.steps() - 1) <= 24) {
+    const Cost optimum = solve_exhaustive(instance).total();
+    if (optimum != total) {
+      return fail("aligned-dp", "portfolio cost " + std::to_string(total) +
+                                    " != exhaustive optimum " +
+                                    std::to_string(optimum));
+    }
   }
   return true;
 }
@@ -442,6 +547,7 @@ int main(int argc, char** argv) {
   std::size_t iters = 100;
   bool mux = false;
   bool hierarchical = false;
+  bool exact_class = false;
   try {
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
@@ -455,13 +561,26 @@ int main(int argc, char** argv) {
         mux = true;
       } else if (std::strcmp(arg, "--hierarchical") == 0) {
         hierarchical = true;
+      } else if (std::strcmp(arg, "--exact-class") == 0) {
+        exact_class = true;
       } else {
         std::fprintf(stderr,
                      "usage: %s [--seed=S] [--iters=N] [--smoke] [--mux] "
-                     "[--hierarchical]\n",
+                     "[--hierarchical] [--exact-class]\n",
                      argv[0]);
         return 1;
       }
+    }
+
+    if (exact_class) {
+      for (std::size_t iter = 0; iter < iters; ++iter) {
+        if (!check_exact_class_iteration(seed + iter)) return 1;
+      }
+      std::printf("fuzz_harness: %zu exact-class portfolios equal to the best "
+                  "member and the exhaustive optimum (seeds %llu..%llu)\n",
+                  iters, static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(seed + iters - 1));
+      return 0;
     }
 
     if (hierarchical) {

@@ -47,6 +47,18 @@ void put_u32(std::string& out, std::uint32_t value) {
   }
 }
 
+/// The first ⌈size/8⌉ little-endian bytes of a bitset's words — the bits
+/// past size() are zero, so the dropped tail carries no information.
+void put_bits(std::string& out, const DynamicBitset& bits) {
+  std::size_t bytes = (bits.size() + 7) / 8;
+  for (DynamicBitset::Word word : bits.words()) {
+    for (int i = 0; i < 8 && bytes > 0; ++i, --bytes) {
+      out.push_back(static_cast<char>(word & 0xffu));
+      word >>= 8;
+    }
+  }
+}
+
 void append_trace(std::string& out, const MultiTaskTrace& trace) {
   put_u8(out, 'T');
   put_u64(out, trace.task_count());
@@ -54,12 +66,17 @@ void append_trace(std::string& out, const MultiTaskTrace& trace) {
     const TaskTrace& task = trace.task(j);
     put_u64(out, task.local_universe());
     put_u64(out, task.size());
+    // Per-step private demands only when the task has any: one flag byte
+    // instead of a u32 per step on the common all-zero task.
+    bool has_demand = false;
+    for (std::size_t s = 0; s < task.size() && !has_demand; ++s) {
+      has_demand = task.at(s).private_demand != 0;
+    }
+    put_u8(out, has_demand ? 1 : 0);
     for (std::size_t s = 0; s < task.size(); ++s) {
       const ContextRequirement& req = task.at(s);
-      put_u32(out, req.private_demand);
-      for (const DynamicBitset::Word word : req.local.words()) {
-        put_u64(out, word);
-      }
+      if (has_demand) put_u32(out, req.private_demand);
+      put_bits(out, req.local);
     }
   }
 }
@@ -105,7 +122,7 @@ Fingerprint128 fingerprint_bytes(std::string_view bytes) {
 std::string canonical_instance_key(const MultiTaskTrace& trace,
                                    const MachineSpec& machine,
                                    const EvalOptions& options) {
-  std::string out = "hyperrec-instance-v1";
+  std::string out = "hyperrec-instance-v2";
   out.push_back('\0');
   append_trace(out, trace);
   append_machine(out, machine);

@@ -3,10 +3,17 @@
 // The paper's cost models (§2, §4) are pure functions of (trace, machine,
 // options), so solve results are safely memoizable once instances can be
 // identified.  This module canonicalizes an instance into a byte string —
-// tagged sections, fixed-width little-endian integers, bitset payloads as
-// raw words (the tail past size() is kept zero by every mutator) — and
-// hashes it with a hand-rolled FNV-1a-128 (no third-party dependency; the
-// container has no network for FetchContent).
+// tagged sections, fixed-width little-endian integers — and hashes it with
+// a hand-rolled FNV-1a-128 (no third-party dependency).
+//
+// Instance key v2 layout ("hyperrec-instance-v2\0" prefix): per task the
+// u64 universe and step count, one byte flagging any non-zero private
+// demand, then per step the u32 demand (flagged tasks only) and the first
+// ⌈universe/8⌉ bytes of the local requirement (the bits past the universe
+// are kept zero by every mutator).  Every length is fixed by an earlier
+// field, so the encoding stays injective; at 4 tasks × 96 steps × 32
+// switches it is about a third of v1's u32-per-step, u64-per-word layout,
+// which matters because the cache stores the bytes with every entry.
 //
 // The canonical bytes are retained alongside the fingerprint: SolveCache
 // compares them on every hit, so even a forged or astronomically unlucky
@@ -47,10 +54,11 @@ struct Fingerprint128Hash {
 /// halves).
 [[nodiscard]] Fingerprint128 fingerprint_bytes(std::string_view bytes);
 
-/// Canonical byte encoding of a solve instance.  Injective by construction:
-/// every field of the trace (universes, step counts, local words, private
-/// demands), the machine (task specs, global resources, init costs) and the
-/// options enters at a fixed, length-prefixed position.
+/// Canonical byte encoding of a solve instance (key v2, see above).
+/// Injective by construction: every field of the trace (universes, step
+/// counts, local bits, private demands), the machine (task specs, global
+/// resources, init costs) and the options enters at a fixed,
+/// length-prefixed position.
 [[nodiscard]] std::string canonical_instance_key(const MultiTaskTrace& trace,
                                                  const MachineSpec& machine,
                                                  const EvalOptions& options);

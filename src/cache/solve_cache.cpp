@@ -15,6 +15,60 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// A cached solution in its stored form.  The per-task boundary masks are
+/// packed into one word array — per task its step count, then its mask
+/// words — instead of one start vector per Partition (a 96-step task takes
+/// 3 words however many boundaries it has), and a hit rebuilds each
+/// partition with Partition::from_boundary_mask.
+struct StoredSolution {
+  std::vector<DynamicBitset::Word> boundaries;
+  std::vector<std::size_t> global_boundaries;
+  CostBreakdown breakdown;
+  std::optional<Cost> lower_bound;
+  std::optional<double> gap_pct;
+};
+
+StoredSolution store_form(const MTSolution& solution) {
+  StoredSolution stored;
+  std::size_t words = 0;
+  for (const Partition& partition : solution.schedule.tasks) {
+    words += 1 + (partition.n() + DynamicBitset::kWordBits - 1) /
+                     DynamicBitset::kWordBits;
+  }
+  stored.boundaries.reserve(words);
+  for (const Partition& partition : solution.schedule.tasks) {
+    const DynamicBitset mask = partition.to_boundary_mask();
+    stored.boundaries.push_back(mask.size());
+    stored.boundaries.insert(stored.boundaries.end(), mask.words().begin(),
+                             mask.words().end());
+  }
+  stored.global_boundaries = solution.schedule.global_boundaries;
+  stored.breakdown = solution.breakdown;
+  stored.lower_bound = solution.lower_bound;
+  stored.gap_pct = solution.gap_pct;
+  return stored;
+}
+
+MTSolution restore(const StoredSolution& stored) {
+  MTSolution solution;
+  const DynamicBitset::Word* at = stored.boundaries.data();
+  const DynamicBitset::Word* const end = at + stored.boundaries.size();
+  while (at != end) {
+    const std::size_t steps = *at++;
+    const std::size_t words =
+        (steps + DynamicBitset::kWordBits - 1) / DynamicBitset::kWordBits;
+    // OR-ing the stored row with itself copies it into a fresh mask.
+    solution.schedule.tasks.push_back(Partition::from_boundary_mask(
+        DynamicBitset::from_or_words(steps, at, at, words)));
+    at += words;
+  }
+  solution.schedule.global_boundaries = stored.global_boundaries;
+  solution.breakdown = stored.breakdown;
+  solution.lower_bound = stored.lower_bound;
+  solution.gap_pct = stored.gap_pct;
+  return solution;
+}
+
 }  // namespace
 
 struct SolveCache::Counters {
@@ -33,7 +87,7 @@ struct SolveCache::Counters {
 struct SolveCache::Shard {
   struct Entry {
     std::string canonical;
-    MTSolution solution;
+    StoredSolution solution;
     Clock::time_point expires;
     std::list<Fingerprint128>::iterator lru_it;
   };
@@ -95,7 +149,7 @@ struct SolveCache::Shard {
         counters.collisions.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      it->second.solution = solution;
+      it->second.solution = store_form(solution);
       it->second.expires = expires;
       touch(it->second);
       // A refresh of a live entry is not an insertion: the fleet metrics
@@ -111,7 +165,7 @@ struct SolveCache::Shard {
       counters.evictions.fetch_add(1, std::memory_order_relaxed);
     }
     lru.push_front(key.fingerprint);
-    Entry entry{key.canonical, solution, expires, lru.begin()};
+    Entry entry{key.canonical, store_form(solution), expires, lru.begin()};
     map.emplace(key.fingerprint, std::move(entry));
     counters.insertions.fetch_add(1, std::memory_order_relaxed);
   }
@@ -202,7 +256,7 @@ std::optional<MTSolution> SolveCache::lookup(const InstanceKey& key) {
   }
   shard.touch(*entry);
   counters_->hits.fetch_add(1, std::memory_order_relaxed);
-  return entry->solution;
+  return restore(entry->solution);
 }
 
 void SolveCache::insert(const InstanceKey& key, const MTSolution& solution) {
@@ -238,7 +292,7 @@ MTSolution SolveCache::get_or_compute_guarded(
       shard.touch(*entry);
       counters_->hits.fetch_add(1, std::memory_order_relaxed);
       if (outcome != nullptr) *outcome = CacheOutcome::kHit;
-      return entry->solution;
+      return restore(entry->solution);
     }
     const auto in_it = shard.inflight.find(key.fingerprint);
     if (in_it != shard.inflight.end() &&

@@ -11,7 +11,10 @@
 //     128-bit instance fingerprint.  Every hit re-verifies the full
 //     canonical key bytes, so a fingerprint collision can never leak a
 //     different instance's solution (it is counted in `collisions` and
-//     treated as a miss).
+//     treated as a miss).  An entry keeps the key bytes plus the solution
+//     with per-task boundary masks in place of Partition start vectors;
+//     a hit rebuilds the identical MTSolution (about 2 KB per entry at 4
+//     tasks × 96 steps × 32 switches).
 //   * Single-flight — concurrent get_or_compute calls for the same key
 //     coalesce onto one in-flight computation; duplicates within a batch
 //     cost one solve plus a future wait.  A compute that throws propagates

@@ -1,12 +1,15 @@
 #include "core/aligned_dp.hpp"
 
+#include <algorithm>
+
 #include "support/cost_math.hpp"
 
 namespace hyperrec {
 
 namespace {
 Cost combine(UploadMode mode, Cost acc, Cost value) {
-  return mode == UploadMode::kTaskParallel ? std::max(acc, value) : acc + value;
+  return mode == UploadMode::kTaskParallel ? std::max(acc, value)
+                                           : cost_add(acc, value);
 }
 }  // namespace
 
@@ -55,8 +58,12 @@ MTSolution solve_aligned_dp(const SolveInstance& instance) {
                                 static_cast<Cost>(union_sizes[j]) +
                                     static_cast<Cost>(max_priv[j]));
       }
-      const Cost candidate = best[start] + hyper_term +
-                             reconfig_term * static_cast<Cost>(end - start);
+      // Saturating: an adversarial local_init near the Cost maximum clamps
+      // at the sentinel instead of wrapping; saturated candidates never
+      // beat the sentinel, so parent[end] keeps the single interval.
+      const Cost candidate =
+          cost_add(cost_add(best[start], hyper_term),
+                   cost_mul(reconfig_term, static_cast<Cost>(end - start)));
       if (candidate < best[end]) {
         best[end] = candidate;
         parent[end] = start;
@@ -76,6 +83,20 @@ MTSolution solve_aligned_dp(const SolveInstance& instance) {
     schedule.global_boundaries.push_back(0);
   }
   return make_solution(instance, std::move(schedule));
+}
+
+bool aligned_dp_is_exact(const SolveInstance& instance) {
+  const MachineSpec& machine = instance.machine();
+  const EvalOptions& options = instance.options();
+  if (instance.task_count() == 0 || !instance.synchronized() ||
+      instance.steps() == 0 || options.changeover ||
+      options.hyper_upload != UploadMode::kTaskParallel ||
+      machine.has_global_resources()) {
+    return false;
+  }
+  const Cost v = machine.tasks.front().local_init;
+  return std::all_of(machine.tasks.begin(), machine.tasks.end(),
+                     [v](const TaskSpec& task) { return task.local_init == v; });
 }
 
 }  // namespace hyperrec

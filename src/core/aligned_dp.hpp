@@ -14,6 +14,36 @@
 // Changeover costs are supported only for aligned schedules with hyper
 // upload task-sequential (the per-task Δ terms add); for task-parallel the
 // combine of (v_j + Δ_j) is used.
+//
+// Exactness on general (unaligned) schedules
+// ------------------------------------------
+// aligned_dp_is_exact() names a class where the aligned optimum is the
+// global optimum of the §4.2 problem: a synchronized trace, no changeover,
+// task-parallel hyper upload, no global resources, and one common v = v_j
+// for every task (either reconfig upload mode).  Proof: take any schedule
+// S with per-task boundary sets B_j and let B = ∪_j B_j.  Let S' give every
+// task the boundary set B.  S' is aligned, and cost(S') ≤ cost(S):
+//   * hyper term: with task-parallel upload step l pays max_{j ∈ A_l} v_j,
+//     which is v when some task has a boundary at l and 0 otherwise.  Both
+//     S and S' have a boundary exactly at the steps of B, so both pay v·|B|.
+//   * reconfig term: B ⊇ B_j, so task j's interval around step l under S'
+//     is a sub-interval of its interval under S.  Its union |U_j| can only
+//     shrink (no global resources means no private demand and no public
+//     context), and max and Σ are both monotone, so every step's reconfig
+//     term under S' is at most the one under S.
+//   * there is no global term (no global resources).
+// Hence min over aligned schedules ≤ min over all schedules, and the DP
+// below computes the aligned minimum exactly.
+//
+// Each condition is needed.  Unequal v_j: refining a cheap task onto an
+// expensive task's boundaries is free, but refining an expensive one onto a
+// cheap task's boundaries raises that step's max.  Task-sequential hyper
+// upload: each extra task at a boundary adds its v_j.  Changeover: the Δ
+// terms depend on each task's own sequence of hypercontexts.  Global
+// resources: private-global quotas and the public context couple the
+// blocks.  tests/property/test_aligned_dp_exact.cpp pins the class against
+// exhaustive search and the Theorem-1 DP, and keeps one counterexample for
+// unequal v_j and one for task-sequential hyper upload.
 #pragma once
 
 #include "core/solver.hpp"
@@ -21,6 +51,14 @@
 namespace hyperrec {
 
 /// Exact aligned-boundary solution under the instance's evaluation options.
+/// Costs saturate at kCostInfinity (support/cost_math.hpp) instead of
+/// wrapping; when every candidate saturates the single interval wins.
 [[nodiscard]] MTSolution solve_aligned_dp(const SolveInstance& instance);
+
+/// True when solve_aligned_dp is optimal over *all* schedules of the
+/// instance (see the proof above): a non-empty synchronized trace, no
+/// changeover, task-parallel hyper upload, no global resources and equal
+/// local_init on every task.
+[[nodiscard]] bool aligned_dp_is_exact(const SolveInstance& instance);
 
 }  // namespace hyperrec

@@ -26,8 +26,9 @@ DagSolution solve_dag_dp(const DagCostModel& model,
       needed.set(sequence[start]);
       const std::size_t h = model.cheapest_satisfying(needed);
       if (h == model.hypercontext_count()) continue;
-      const Cost candidate = best[start] + model.w() +
-                             model.cost(h) * static_cast<Cost>(end - start);
+      const Cost candidate = cost_add(
+          cost_add(best[start], model.w()),
+          cost_mul(model.cost(h), static_cast<Cost>(end - start)));
       if (candidate < best[end]) {
         best[end] = candidate;
         parent[end] = start;
@@ -36,7 +37,8 @@ DagSolution solve_dag_dp(const DagCostModel& model,
     }
   }
   HYPERREC_ENSURE(best[n] < kCostInfinity,
-                  "no hypercontext satisfies some requirement");
+                  "no hypercontext satisfies some requirement at a finite "
+                  "cost");
 
   DagSolution solution;
   solution.total = best[n];
@@ -91,11 +93,12 @@ MtDagSolution solve_mt_dag_aligned(
         }
         hypers[j] = h;
         reconfig = task_parallel ? std::max(reconfig, models[j].cost(h))
-                                 : reconfig + models[j].cost(h);
+                                 : cost_add(reconfig, models[j].cost(h));
       }
       if (!feasible) continue;
       const Cost candidate =
-          best[start] + w + reconfig * static_cast<Cost>(end - start);
+          cost_add(cost_add(best[start], w),
+                   cost_mul(reconfig, static_cast<Cost>(end - start)));
       if (candidate < best[end]) {
         best[end] = candidate;
         parent[end] = start;
@@ -104,7 +107,8 @@ MtDagSolution solve_mt_dag_aligned(
     }
   }
   HYPERREC_ENSURE(best[n] < kCostInfinity,
-                  "no hypercontext satisfies some requirement");
+                  "no hypercontext satisfies some requirement at a finite "
+                  "cost");
 
   MtDagSolution solution;
   solution.total = best[n];

@@ -30,14 +30,14 @@ GeneralSolution solve_general_dp(const GeneralCostModel& model,
       const Cost len = static_cast<Cost>(end - start);
       for (std::size_t h = 0; h < model.hypercontext_count(); ++h) {
         if (!model.satisfies_all(h, needed)) continue;
-        const Cost c = model.init(h) + model.cost(h) * len;
+        const Cost c = cost_add(model.init(h), cost_mul(model.cost(h), len));
         if (c < interval_best) {
           interval_best = c;
           interval_h = h;
         }
       }
       if (interval_h == model.hypercontext_count()) continue;  // unsatisfiable
-      const Cost candidate = best[start] + interval_best;
+      const Cost candidate = cost_add(best[start], interval_best);
       if (candidate < best[end]) {
         best[end] = candidate;
         parent[end] = start;
@@ -45,8 +45,11 @@ GeneralSolution solve_general_dp(const GeneralCostModel& model,
       }
     }
   }
+  // Saturated costs (support/cost_math.hpp) count as unreachable, like an
+  // unsatisfiable requirement.
   HYPERREC_ENSURE(best[n] < kCostInfinity,
-                  "no hypercontext satisfies some requirement");
+                  "no hypercontext satisfies some requirement at a finite "
+                  "cost");
 
   GeneralSolution solution;
   solution.total = best[n];

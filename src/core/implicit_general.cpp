@@ -61,7 +61,8 @@ ImplicitSolution solve_implicit_general(
       for (;;) {
         const std::uint32_t h = base | sub;
         const DynamicBitset h_bits = from_mask(h, model.universe);
-        const Cost c = model.init(h_bits) + model.cost(h_bits) * len;
+        const Cost c =
+            cost_add(model.init(h_bits), cost_mul(model.cost(h_bits), len));
         if (c < interval_best) {
           interval_best = c;
           interval_h = h;
@@ -70,7 +71,7 @@ ImplicitSolution solve_implicit_general(
         sub = (sub - 1) & spare;
       }
 
-      const Cost candidate = best[start] + interval_best;
+      const Cost candidate = cost_add(best[start], interval_best);
       if (candidate < best[end]) {
         best[end] = candidate;
         parent[end] = start;
@@ -78,6 +79,11 @@ ImplicitSolution solve_implicit_general(
       }
     }
   }
+
+  // Saturated costs (support/cost_math.hpp) never beat the sentinel, so a
+  // fully saturated instance has no reconstructible schedule.
+  HYPERREC_ENSURE(best[n] < kCostInfinity,
+                  "every schedule's cost saturates the Cost range");
 
   ImplicitSolution solution;
   solution.total = best[n];

@@ -49,7 +49,8 @@ std::vector<NamedSolver> standard_solvers(const SolveHints& hints) {
                        config.seed = seed_of(warm);
                        config.cancel = cancel;
                        return solve_coordinate_descent(instance, config);
-                     }});
+                     },
+                     true});
   solvers.push_back({"genetic",
                      [warm, seed_of](const SolveInstance& instance,
                                      const CancelToken& cancel) {
@@ -57,7 +58,8 @@ std::vector<NamedSolver> standard_solvers(const SolveHints& hints) {
                        config.seed_schedule = seed_of(warm);
                        config.cancel = cancel;
                        return solve_genetic(instance, config).best;
-                     }});
+                     },
+                     true});
   solvers.push_back({"annealing",
                      [warm, seed_of](const SolveInstance& instance,
                                      const CancelToken& cancel) {
@@ -65,7 +67,8 @@ std::vector<NamedSolver> standard_solvers(const SolveHints& hints) {
                        config.seed_schedule = seed_of(warm);
                        config.cancel = cancel;
                        return solve_annealing(instance, config);
-                     }});
+                     },
+                     true});
   return solvers;
 }
 

@@ -55,6 +55,9 @@ using MTSolverFn =
 struct NamedSolver {
   std::string name;
   MTSolverFn fn;
+  /// The member reads SolveHints::warm_start (the iterative solvers); the
+  /// portfolio reports a warm start only when such a member actually ran.
+  bool consumes_warm_start = false;
 
   /// Invokes fn; the cancel hook defaults to an inert token.
   [[nodiscard]] MTSolution solve(const SolveInstance& instance,

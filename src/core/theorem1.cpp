@@ -9,7 +9,8 @@ namespace hyperrec {
 namespace {
 
 Cost combine(UploadMode mode, Cost acc, Cost value) {
-  return mode == UploadMode::kTaskParallel ? std::max(acc, value) : acc + value;
+  return mode == UploadMode::kTaskParallel ? std::max(acc, value)
+                                           : cost_add(acc, value);
 }
 
 struct Interval {
@@ -48,7 +49,10 @@ class Theorem1Solver {
     Cost best = kCostInfinity;
     std::vector<std::uint32_t> best_ends;
     choose_initial(0, state, best, best_ends);
-    HYPERREC_ASSERT(best < kCostInfinity);
+    // Costs saturate at the sentinel (support/cost_math.hpp), so an
+    // adversarial local_init can leave every schedule "infinitely" costly.
+    HYPERREC_ENSURE(best < kCostInfinity,
+                    "Theorem-1 DP: every schedule's cost saturates");
 
     // Reconstruct the schedule by replaying the DP greedily.
     std::vector<std::vector<std::size_t>> starts(m_);
@@ -77,7 +81,7 @@ class Theorem1Solver {
         hyper = combine(options_.hyper_upload, hyper,
                         machine_.tasks[t].local_init);
       }
-      const Cost value = hyper + run(0, state);
+      const Cost value = cost_add(hyper, run(0, state));
       if (value < best) {
         best = value;
         best_ends.resize(m_);
@@ -126,7 +130,7 @@ class Theorem1Solver {
       Cost best = kCostInfinity;
       std::vector<Interval> next = state;
       choose_next(t, 0, ending, next, best);
-      result = step_cost + best;
+      result = cost_add(step_cost, best);
     }
     memo_.emplace(key, result);
     return result;
@@ -142,7 +146,7 @@ class Theorem1Solver {
         hyper = combine(options_.hyper_upload, hyper,
                         machine_.tasks[j].local_init);
       }
-      const Cost value = hyper + run(t + 1, state);
+      const Cost value = cost_add(hyper, run(t + 1, state));
       best = std::min(best, value);
       return;
     }
@@ -193,7 +197,7 @@ class Theorem1Solver {
         hyper = combine(options_.hyper_upload, hyper,
                         machine_.tasks[j].local_init);
       }
-      const Cost value = hyper + run(t + 1, state);
+      const Cost value = cost_add(hyper, run(t + 1, state));
       if (value < best) {
         best = value;
         best_state = state;

@@ -60,7 +60,6 @@ BatchResult BatchEngine::solve(const std::vector<BatchJob>& jobs) const {
     per_job.pool = nullptr;
     per_job.deadline = std::chrono::milliseconds{0};  // already in token
     per_job.certify = config_.certify;
-    bool warm_used = false;
     // A caller-preset portfolio warm_start takes precedence — appending the
     // cached incumbent next to it would trip the portfolio's one-seed
     // contract and fail the job.
@@ -68,11 +67,12 @@ BatchResult BatchEngine::solve(const std::vector<BatchJob>& jobs) const {
         per_job.warm_start.empty()) {
       if (auto warm = config_.cache->warm_start_for(instance)) {
         per_job.warm_start.push_back(std::move(*warm));
-        warm_used = true;
       }
     }
     PortfolioResult race = solve_portfolio(instance, per_job, token);
-    out.warm_started = warm_used;
+    // Only a member that reads the seed makes this a warm start; the exact
+    // fast path (aligned-dp alone) never does.
+    out.warm_started = race.warm_started;
     out.winner = std::move(race.winner);
     out.entries = std::move(race.entries);
     return std::move(race.best);

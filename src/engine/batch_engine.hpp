@@ -132,7 +132,9 @@ struct JobResult {
   std::vector<PortfolioEntry> entries;  ///< empty under a custom solver
   std::chrono::microseconds elapsed{0};
   JobCacheOutcome cache = JobCacheOutcome::kBypass;
-  bool warm_started = false;  ///< a warm-start incumbent seeded the solve
+  /// A warm-start incumbent seeded a member that reads it
+  /// (PortfolioResult::warm_started).
+  bool warm_started = false;
   bool streamed = false;      ///< solved by streaming replay
   /// One report per window re-solve (streaming replay only).
   std::vector<streaming::WindowReport> windows;

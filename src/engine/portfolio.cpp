@@ -1,8 +1,10 @@
 #include "engine/portfolio.hpp"
 
 #include <future>
+#include <optional>
 #include <utility>
 
+#include "core/aligned_dp.hpp"
 #include "core/lower_bound.hpp"
 
 namespace hyperrec::engine {
@@ -39,6 +41,21 @@ std::vector<NamedSolver> resolve_members(const PortfolioConfig& config,
   return members;
 }
 
+/// Index of the registry's aligned-dp member when the instance lies in the
+/// class where it is optimal (core/aligned_dp.hpp), so nobody else need run.
+/// `extra` members (appended after the registry ones) never qualify.
+std::optional<std::size_t> exact_member(const SolveInstance& instance,
+                                        const std::vector<NamedSolver>& members,
+                                        std::size_t registry_count) {
+  for (std::size_t i = 0; i < registry_count; ++i) {
+    if (members[i].name == "aligned-dp") {
+      if (!aligned_dp_is_exact(instance)) return std::nullopt;
+      return i;
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 PortfolioResult solve_portfolio(const SolveInstance& instance,
@@ -62,6 +79,8 @@ PortfolioResult solve_portfolio(const SolveInstance& instance,
   }
   const std::vector<NamedSolver> members = resolve_members(config, hints);
   HYPERREC_ENSURE(!members.empty(), "portfolio needs at least one member");
+  const std::optional<std::size_t> exact =
+      exact_member(instance, members, members.size() - config.extra.size());
 
   CancelToken race = config.deadline.count() > 0
                          ? CancelToken::linked(cancel,
@@ -71,11 +90,13 @@ PortfolioResult solve_portfolio(const SolveInstance& instance,
   PortfolioResult result;
   result.entries.resize(members.size());
   std::vector<MTSolution> solutions(members.size());
+  std::vector<char> ran(members.size(), 0);
   const Clock::time_point race_start = Clock::now();
 
   auto run_member = [&](std::size_t i) {
     PortfolioEntry& entry = result.entries[i];
     entry.solver = members[i].name;
+    ran[i] = 1;
     const Clock::time_point start = Clock::now();
     try {
       // Every member races the same shared instance (no per-racer copies).
@@ -96,7 +117,17 @@ PortfolioResult solve_portfolio(const SolveInstance& instance,
   // on_worker_thread(): racing from inside a worker of the target pool
   // would block it on members queued behind it (no work stealing) —
   // degrade to the serial branch, mirroring parallel_for's guard.
-  if (config.parallel && members.size() > 1 && !pool.on_worker_thread()) {
+  if (exact.has_value()) {
+    // The aligned DP is optimal here: racing anyone else cannot improve on
+    // it, so every other member is reported as skipped.
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (i == *exact) continue;
+      result.entries[i].solver = members[i].name;
+      result.entries[i].error = "skipped: aligned-dp is exact on this instance";
+    }
+    run_member(*exact);
+  } else if (config.parallel && members.size() > 1 &&
+             !pool.on_worker_thread()) {
     std::vector<std::future<void>> futures;
     futures.reserve(members.size());
     for (std::size_t i = 0; i < members.size(); ++i) {
@@ -131,12 +162,26 @@ PortfolioResult solve_portfolio(const SolveInstance& instance,
       winner = i;
     }
   }
-  HYPERREC_ENSURE(have_winner, "every portfolio member failed: " +
-                                   result.entries.front().error);
+  HYPERREC_ENSURE(have_winner,
+                  "every portfolio member failed: " +
+                      result.entries[exact.value_or(0)].error);
   result.best = std::move(solutions[winner]);
   result.winner = members[winner].name;
+  if (!hints.warm_start.empty()) {
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (ran[i] != 0 && members[i].consumes_warm_start) {
+        result.warm_started = true;
+      }
+    }
+  }
   if (config.certify && instance.synchronized()) {
-    attach_certificate(instance, result.best);
+    if (exact.has_value()) {
+      // The answer is the optimum: it certifies itself, no relaxation needed.
+      result.best.lower_bound = result.best.total();
+      result.best.gap_pct = 0.0;
+    } else {
+      attach_certificate(instance, result.best);
+    }
   }
   return result;
 }

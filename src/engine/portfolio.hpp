@@ -17,6 +17,14 @@
 //
 // The best completed answer wins; ties break towards the earlier line-up
 // position, so results are deterministic for a fixed member set.
+//
+// Exact fast path: when "aligned-dp" is in the line-up and the instance
+// lies in the class where it is optimal over all schedules
+// (aligned_dp_is_exact, proof in core/aligned_dp.hpp), it runs alone and
+// every other member — registry or `extra` — is reported as a skipped
+// entry.  Under `certify` the answer then certifies itself (lower_bound =
+// total, gap 0) without computing a relaxation.  Instances outside the
+// class race as described above.
 #pragma once
 
 #include <chrono>
@@ -59,7 +67,8 @@ struct PortfolioConfig {
   std::vector<NamedSolver> extra;
   /// Attach an optimality certificate (core/lower_bound.hpp) to the winner:
   /// lower_bound + gap_pct stamped on the best solution.  Synchronized
-  /// traces only; skipped silently otherwise.
+  /// traces only; skipped silently otherwise.  On the exact fast path the
+  /// bound is the optimum itself.
   bool certify = false;
 };
 
@@ -68,7 +77,7 @@ struct PortfolioEntry {
   Cost total = 0;
   std::chrono::microseconds elapsed{0};
   bool ok = false;    ///< solver returned a solution (did not throw)
-  std::string error;  ///< exception text when !ok
+  std::string error;  ///< exception text, or "skipped: <why>", when !ok
 };
 
 struct PortfolioResult {
@@ -76,6 +85,9 @@ struct PortfolioResult {
   std::string winner;  ///< name of the member that produced `best`
   std::vector<PortfolioEntry> entries;  ///< line-up order
   std::chrono::microseconds elapsed{0};
+  /// A warm-start seed was supplied and a member that reads it
+  /// (NamedSolver::consumes_warm_start) actually ran.
+  bool warm_started = false;
 };
 
 /// Races the configured members on one instance.  Every member receives the

@@ -117,7 +117,6 @@ CostBreakdown evaluate_fully_sync_impl(const MultiTaskTrace& trace,
   }
 
   CostBreakdown breakdown;
-  breakdown.per_step.resize(n);
 
   for (std::size_t l = 0; l < n; ++l) {
     bool any_boundary = false;
@@ -155,7 +154,6 @@ CostBreakdown evaluate_fully_sync_impl(const MultiTaskTrace& trace,
     }
 
     if (any_boundary) ++breakdown.partial_hyper_steps;
-    breakdown.per_step[l] = StepCost{hyper_term, reconfig_term};
     breakdown.hyper += hyper_term;
     breakdown.reconfig += reconfig_term;
     breakdown.global_hyper += global_term;

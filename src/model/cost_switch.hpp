@@ -66,18 +66,12 @@ derive_local_hypercontexts(const MultiTaskTrace& trace,
 derive_local_hypercontexts(const MultiTaskTraceStats& stats,
                            const MultiTaskSchedule& schedule);
 
-struct StepCost {
-  Cost hyper = 0;
-  Cost reconfig = 0;
-};
-
 struct CostBreakdown {
   Cost total = 0;
   Cost hyper = 0;         ///< partial (local) hyperreconfiguration cost
   Cost reconfig = 0;      ///< ordinary reconfiguration cost
   Cost global_hyper = 0;  ///< Σ w over global hyperreconfigurations
-  std::size_t partial_hyper_steps = 0;
-  std::vector<StepCost> per_step;  ///< length n; for figures/diagnostics
+  std::size_t partial_hyper_steps = 0;  ///< steps where some task hyperreconfigures
 };
 
 /// §4.2 evaluator for fully synchronised machines.  Requires a synchronized

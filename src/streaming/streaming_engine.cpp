@@ -252,7 +252,6 @@ void StreamingEngine::resolve_window(TriggerKind trigger,
                                  options_);
 
     engine::PortfolioConfig per_solve = config_.portfolio;
-    bool warm_seeded = false;
     // Seeds that are a function of this stream's own state get mixed into
     // the cache key below; a seed borrowed from the cache's shape index is
     // not (it depends on what other tenants solved recently).
@@ -260,12 +259,10 @@ void StreamingEngine::resolve_window(TriggerKind trigger,
     if (config_.warm_start && per_solve.warm_start.empty()) {
       if (!published_.tasks.empty()) {
         per_solve.warm_start.push_back(warm_seed(lo, hi));
-        warm_seeded = true;
         seed_in_key = true;
       } else if (config_.cache != nullptr && config_.cache_warm_start) {
         if (auto warm = config_.cache->warm_start_for(instance)) {
           per_solve.warm_start.push_back(std::move(*warm));
-          warm_seeded = true;
         }
       }
     }
@@ -279,10 +276,11 @@ void StreamingEngine::resolve_window(TriggerKind trigger,
           key,
           [&]() {
             // warm_started is recorded here, where a solve actually runs —
-            // a cache hit never consumed the seed.
-            report.warm_started = warm_seeded;
+            // a cache hit never consumed the seed, and neither does the
+            // exact fast path (PortfolioResult::warm_started).
             engine::PortfolioResult race =
                 engine::solve_portfolio(instance, per_solve, cancel);
+            report.warm_started = race.warm_started;
             report.winner = std::move(race.winner);
             // A window solved under a fired stream token is a rushed
             // incumbent — serve it, but never memoize it.
@@ -301,9 +299,9 @@ void StreamingEngine::resolve_window(TriggerKind trigger,
         report.winner = "coalesced";
       }
     } else {
-      report.warm_started = warm_seeded;
       engine::PortfolioResult race =
           engine::solve_portfolio(instance, per_solve, cancel);
+      report.warm_started = race.warm_started;
       report.winner = std::move(race.winner);
       window_solution = std::move(race.best);
     }

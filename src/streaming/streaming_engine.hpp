@@ -123,6 +123,7 @@ struct WindowReport {
   /// How the attached solve cache satisfied the window (nullopt when no
   /// cache was attached or the solve failed before the lookup).
   std::optional<cache::CacheOutcome> cache;
+  /// A seed reached a member that reads it (PortfolioResult::warm_started).
   bool warm_started = false;
   std::chrono::microseconds elapsed{0};  ///< window solve wall time
   Cost window_cost = 0;     ///< portfolio best over the window alone

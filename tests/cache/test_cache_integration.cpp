@@ -130,8 +130,13 @@ TEST(CacheIntegration, WarmStartSeedsSecondBatchOfSameShape) {
   const BatchEngine engine(std::move(config));
 
   // Same shape, different seeds → cross-batch near-misses, not hits.
-  const std::vector<BatchJob> first = jobs_from_instances(2, 14, 8, 1);
-  const std::vector<BatchJob> second = jobs_from_instances(2, 14, 8, 2);
+  std::vector<BatchJob> first = jobs_from_instances(2, 14, 8, 1);
+  std::vector<BatchJob> second = jobs_from_instances(2, 14, 8, 2);
+  // Unequal v_j keep the jobs outside the aligned DP's exact class, so
+  // coordinate descent runs and consumes the seed.
+  for (std::vector<BatchJob>* batch : {&first, &second}) {
+    for (BatchJob& job : *batch) job.machine.tasks[0].local_init += 1;
+  }
 
   const BatchResult cold = engine.solve(first);
   for (const JobResult& job : cold.jobs) ASSERT_TRUE(job.ok) << job.error;
@@ -142,6 +147,30 @@ TEST(CacheIntegration, WarmStartSeedsSecondBatchOfSameShape) {
     EXPECT_EQ(job.cache, JobCacheOutcome::kMiss) << job.name;
     EXPECT_TRUE(job.warm_started)
         << job.name << ": a same-shape incumbent was available";
+  }
+  EXPECT_GE(warm.cache_stats.warm_hits, warm.jobs.size());
+}
+
+TEST(CacheIntegration, FastPathJobsDoNotClaimAWarmStart) {
+  // The same set-up on in-class jobs (local-only, equal universes): the
+  // cache still hands out the same-shape seed, but the portfolio runs the
+  // aligned DP alone, which never reads it.
+  auto cache = std::make_shared<cache::SolveCache>(
+      cache::SolveCacheConfig{.capacity = 64});
+  BatchEngineConfig config;
+  config.portfolio.solvers = {"aligned-dp", "coord-descent"};
+  config.cache = cache;
+  config.warm_start = true;
+  const BatchEngine engine(std::move(config));
+
+  const BatchResult cold = engine.solve(jobs_from_instances(2, 14, 8, 1));
+  for (const JobResult& job : cold.jobs) ASSERT_TRUE(job.ok) << job.error;
+  const BatchResult warm = engine.solve(jobs_from_instances(2, 14, 8, 2));
+  for (const JobResult& job : warm.jobs) {
+    ASSERT_TRUE(job.ok) << job.error;
+    EXPECT_EQ(job.cache, JobCacheOutcome::kMiss) << job.name;
+    EXPECT_EQ(job.winner, "aligned-dp") << job.name;
+    EXPECT_FALSE(job.warm_started) << job.name;
   }
   EXPECT_GE(warm.cache_stats.warm_hits, warm.jobs.size());
 }

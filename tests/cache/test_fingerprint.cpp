@@ -201,10 +201,54 @@ TEST(Fingerprint, ShapeIgnoresContentButNotGeometry) {
                fingerprint_shape(baseline_trace()));
 }
 
+TEST(Fingerprint, FirstNonZeroPrivateDemandFlipsTheTaskFlag) {
+  // Key v2 writes per-step demands only for tasks with a non-zero demand,
+  // announced by one flag byte per task.  The first non-zero demand on an
+  // otherwise all-zero task must flip the flag and change the key.
+  const auto task_with_demand = [](std::uint32_t demand) {
+    MultiTaskTrace trace;
+    TaskTrace task(4);
+    task.push_back({DynamicBitset::from_string("1100"), 0});
+    task.push_back({DynamicBitset::from_string("0011"), 0});
+    task.push_back({DynamicBitset::from_string("0110"), demand});
+    trace.add_task(std::move(task));
+    return trace;
+  };
+  MachineSpec machine = MachineSpec::local_only({4});
+  machine.private_global_units = 1;
+  const InstanceKey zero = make_instance_key(task_with_demand(0), machine, {});
+  const InstanceKey one = make_instance_key(task_with_demand(1), machine, {});
+  EXPECT_FALSE(zero.fingerprint == one.fingerprint);
+  EXPECT_NE(zero.canonical, one.canonical);
+  // Flagged, the task carries a u32 demand for each of its 3 steps.
+  EXPECT_EQ(one.canonical.size(), zero.canonical.size() + 3 * 4);
+}
+
+TEST(Fingerprint, SensitiveToTheTopBitOfAPartialLastByte) {
+  // Key v2 keeps ⌈universe/8⌉ payload bytes per step; with a 13-switch
+  // universe, switch 12 is the top live bit of the truncated second byte.
+  const auto trace_with = [](const char* last) {
+    MultiTaskTrace trace;
+    TaskTrace task(13);
+    task.push_back({DynamicBitset::from_string("1000000000000"), 0});
+    task.push_back({DynamicBitset::from_string(last), 0});
+    trace.add_task(std::move(task));
+    return trace;
+  };
+  const MachineSpec machine = MachineSpec::local_only({13});
+  const InstanceKey low = make_instance_key(trace_with("0000000000000"),
+                                            machine, {});
+  const InstanceKey top = make_instance_key(trace_with("0000000000001"),
+                                            machine, {});
+  EXPECT_FALSE(low.fingerprint == top.fingerprint);
+  EXPECT_NE(low.canonical, top.canonical);
+  EXPECT_EQ(low.canonical.size(), top.canonical.size());
+}
+
 TEST(Fingerprint, CanonicalKeysArePrefixTagged) {
   const std::string canonical = canonical_instance_key(
       baseline_trace(), baseline_machine(), {});
-  EXPECT_EQ(canonical.rfind("hyperrec-instance-v1", 0), 0u);
+  EXPECT_EQ(canonical.rfind("hyperrec-instance-v2", 0), 0u);
   const std::string shape = canonical_shape_key(baseline_trace());
   EXPECT_EQ(shape.rfind("hyperrec-shape-v1", 0), 0u);
 }

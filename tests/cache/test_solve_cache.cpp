@@ -12,6 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/lower_bound.hpp"
+#include "testutil/trace_builders.hpp"
+
 namespace hyperrec::cache {
 namespace {
 
@@ -444,6 +447,66 @@ TEST(SolveCache, WarmStartNormalizesGlobalBoundariesForGlobalMachines) {
   const auto warm = cache.warm_start_for(same_shape, with_global);
   ASSERT_TRUE(warm.has_value());
   EXPECT_EQ(warm->global_boundaries, (std::vector<std::size_t>{0}));
+}
+
+void expect_same_solution(const MTSolution& hit, const MTSolution& fresh) {
+  ASSERT_EQ(hit.schedule.tasks.size(), fresh.schedule.tasks.size());
+  for (std::size_t j = 0; j < fresh.schedule.tasks.size(); ++j) {
+    EXPECT_EQ(hit.schedule.tasks[j].n(), fresh.schedule.tasks[j].n());
+    EXPECT_EQ(hit.schedule.tasks[j].starts(), fresh.schedule.tasks[j].starts())
+        << "task " << j;
+  }
+  EXPECT_EQ(hit.schedule.global_boundaries, fresh.schedule.global_boundaries);
+  EXPECT_EQ(hit.breakdown.total, fresh.breakdown.total);
+  EXPECT_EQ(hit.breakdown.hyper, fresh.breakdown.hyper);
+  EXPECT_EQ(hit.breakdown.reconfig, fresh.breakdown.reconfig);
+  EXPECT_EQ(hit.breakdown.global_hyper, fresh.breakdown.global_hyper);
+  EXPECT_EQ(hit.breakdown.partial_hyper_steps,
+            fresh.breakdown.partial_hyper_steps);
+  EXPECT_EQ(hit.lower_bound, fresh.lower_bound);
+  EXPECT_EQ(hit.gap_pct, fresh.gap_pct);
+}
+
+TEST(SolveCache, HitRebuildsTheFreshSolutionExactly) {
+  // Entries keep per-task boundary masks instead of Partition starts; a hit
+  // must rebuild the identical solution.  n = 100 is not a multiple of 64
+  // (the masks span a partial last word), and the machine has global
+  // resources, so the schedule carries global boundaries (0 and 37, where
+  // every task has a boundary too) and the breakdown a global term.
+  Xoshiro256 rng(0xB0B);
+  const std::size_t n = 100;
+  MultiTaskTrace trace;
+  trace.add_task(testutil::random_task_trace(rng, n, 13));
+  trace.add_task(testutil::random_task_trace(rng, n, 70));
+  MachineSpec machine = MachineSpec::local_only({13, 70});
+  machine.public_context_size = 3;
+  machine.global_init = 7;
+  MultiTaskSchedule schedule =
+      testutil::random_schedule(rng, trace, machine, 0.2);
+  for (Partition& partition : schedule.tasks) {
+    DynamicBitset mask = partition.to_boundary_mask();
+    mask.set(37);
+    partition = Partition::from_boundary_mask(mask);
+  }
+  schedule.global_boundaries = {0, 37};
+  const SolveInstance instance(trace, machine);
+  MTSolution fresh = make_solution(instance, std::move(schedule));
+  attach_certificate(instance, fresh);
+  ASSERT_GT(fresh.breakdown.global_hyper, 0);
+  ASSERT_TRUE(fresh.gap_pct.has_value());
+
+  SolveCache cache({.capacity = 8, .ttl = {}, .shards = 1});
+  const InstanceKey key = make_instance_key(instance);
+  cache.insert(key, fresh);
+  const std::optional<MTSolution> hit = cache.lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  expect_same_solution(*hit, fresh);
+  CacheOutcome outcome = CacheOutcome::kMiss;
+  const MTSolution coalesced = cache.get_or_compute(
+      key, []() -> MTSolution { throw std::runtime_error("must hit"); },
+      &outcome);
+  EXPECT_EQ(outcome, CacheOutcome::kHit);
+  expect_same_solution(coalesced, fresh);
 }
 
 TEST(SolveCache, CapacityOfZeroIsRejected) {

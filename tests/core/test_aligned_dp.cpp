@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/interval_dp.hpp"
+#include "support/cost_math.hpp"
 #include "testutil/oracles.hpp"
 #include "testutil/trace_builders.hpp"
 #include "workload/generators.hpp"
@@ -98,6 +101,61 @@ TEST(AlignedDp, SolutionEvaluatesToReportedCost) {
       solution.total(),
       evaluate_fully_sync_switch(trace, machine, solution.schedule, options)
           .total);
+}
+
+TEST(AlignedDp, ExactClassPredicate) {
+  const auto trace = phased_pair();
+  const MachineSpec machine = MachineSpec::uniform_local(2, 4);
+  EXPECT_TRUE(aligned_dp_is_exact(SolveInstance(trace, machine)));
+  // Either reconfig upload mode stays in the class.
+  EXPECT_TRUE(aligned_dp_is_exact(SolveInstance(
+      trace, machine,
+      {UploadMode::kTaskParallel, UploadMode::kTaskParallel, false})));
+
+  EXPECT_FALSE(aligned_dp_is_exact(SolveInstance(
+      trace, machine,
+      {UploadMode::kTaskSequential, UploadMode::kTaskSequential, false})));
+  EvalOptions changeover;
+  changeover.changeover = true;
+  EXPECT_FALSE(aligned_dp_is_exact(SolveInstance(trace, machine, changeover)));
+  MachineSpec unequal = machine;
+  unequal.tasks[1].local_init += 1;
+  EXPECT_FALSE(aligned_dp_is_exact(SolveInstance(trace, unequal)));
+  MachineSpec global = machine;
+  global.public_context_size = 1;
+  EXPECT_FALSE(aligned_dp_is_exact(SolveInstance(trace, global)));
+}
+
+TEST(AlignedDp, AdversarialInitCostSaturatesInsteadOfWrapping) {
+  // best[start] + hyper_term + reconfig_term·len with an equal local_init
+  // near the Cost maximum used to wrap negative (signed overflow, UB) and
+  // make the DP "prefer" the corrupted candidate.  With saturating cost
+  // arithmetic every candidate clamps at the sentinel, the single interval
+  // (the optimum: each extra boundary costs another v) wins, and the
+  // evaluated total stays exact: v + 2 tasks × |{s0..s3}| × 4 steps.
+  const auto trace = MultiTaskTrace::from_local(
+      {4, 4}, {{DynamicBitset::from_string("1100"),
+                DynamicBitset::from_string("1100"),
+                DynamicBitset::from_string("0011"),
+                DynamicBitset::from_string("0011")},
+               {DynamicBitset::from_string("0011"),
+                DynamicBitset::from_string("0011"),
+                DynamicBitset::from_string("1100"),
+                DynamicBitset::from_string("1100")}});
+  for (const Cost huge :
+       {kCostInfinity - 1, kCostInfinity, kCostInfinity + 7,
+        std::numeric_limits<Cost>::max() / 2,
+        std::numeric_limits<Cost>::max() - 1000}) {
+    MachineSpec machine = MachineSpec::uniform_local(2, 4);
+    for (TaskSpec& task : machine.tasks) task.local_init = huge;
+    const SolveInstance instance(trace, machine);
+    ASSERT_TRUE(aligned_dp_is_exact(instance));
+    const MTSolution solution = solve_aligned_dp(instance);
+    for (const Partition& partition : solution.schedule.tasks) {
+      EXPECT_EQ(partition.interval_count(), 1u) << "v = " << huge;
+    }
+    EXPECT_EQ(solution.total(), huge + 2 * 4 * 4) << "v = " << huge;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/interval_dp.hpp"
 #include "dag/generators.hpp"
 #include "support/rng.hpp"
@@ -128,6 +130,18 @@ TEST(MtDagAligned, ModelSequenceCountMismatchRejected) {
   models.push_back(chain_model());
   EXPECT_THROW(solve_mt_dag_aligned(models, {{0}, {0}}, 1, true),
                PreconditionError);
+}
+
+TEST(DagDp, SaturatedCostsAreRejectedInsteadOfWrapping) {
+  Dag dag(2);
+  dag.add_edge(0, 1);
+  std::vector<DynamicBitset> sat;
+  sat.push_back(DynamicBitset::from_string("10"));
+  sat.push_back(DynamicBitset::from_string("11"));
+  // w near the Cost maximum: see the GeneralDp twin.
+  const DagCostModel model(std::move(dag), std::move(sat), {1, 3},
+                           std::numeric_limits<Cost>::max() - 10);
+  EXPECT_THROW((void)solve_dag_dp(model, {0, 1}), PreconditionError);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "support/rng.hpp"
 #include "testutil/oracles.hpp"
 
@@ -88,6 +90,18 @@ TEST(GeneralDp, OutOfRangeKindRejected) {
 TEST(GeneralDp, EmptySequenceRejected) {
   const auto model = sample_model();
   EXPECT_THROW(solve_general_dp(model, {}), PreconditionError);
+}
+
+TEST(GeneralDp, SaturatedCostsAreRejectedInsteadOfWrapping) {
+  // An init near the Cost maximum made init + cost·len overflow (UB) and
+  // wrap negative, so the DP "preferred" the corrupted interval.
+  // Saturating arithmetic treats costs past the sentinel as unreachable,
+  // so the DP refuses the instance instead.
+  GeneralCostModel model = sample_model();
+  for (std::size_t h = 0; h < 3; ++h) {
+    model.set_init(h, std::numeric_limits<Cost>::max() - 1);
+  }
+  EXPECT_THROW((void)solve_general_dp(model, {0, 1}), PreconditionError);
 }
 
 }  // namespace

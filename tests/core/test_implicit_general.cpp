@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/interval_dp.hpp"
 #include "support/rng.hpp"
 
@@ -111,6 +113,21 @@ TEST(ImplicitGeneral, RequirementUniverseMismatchRejected) {
   model.cost = [](const DynamicBitset&) { return Cost{1}; };
   model.init = [](const DynamicBitset&) { return Cost{1}; };
   EXPECT_THROW(solve_implicit_general(model, {DynamicBitset(5)}),
+               PreconditionError);
+}
+
+TEST(ImplicitGeneral, SaturatedCostsAreRejectedInsteadOfWrapping) {
+  ImplicitGeneralModel model;
+  model.universe = 3;
+  model.cost = [](const DynamicBitset& h) {
+    return static_cast<Cost>(h.count());
+  };
+  model.init = [](const DynamicBitset&) {
+    return std::numeric_limits<Cost>::max() / 2;
+  };
+  const std::vector<DynamicBitset> sequence{DynamicBitset::from_string("100"),
+                                            DynamicBitset::from_string("010")};
+  EXPECT_THROW((void)solve_implicit_general(model, sequence),
                PreconditionError);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/coordinate_descent.hpp"
 #include "core/exhaustive.hpp"
 #include "core/interval_dp.hpp"
@@ -111,6 +113,17 @@ TEST(Theorem1Dp, GuardsReject) {
       solve_theorem1_dp(wide, MachineSpec::uniform_local(4, 4), {}),
       PreconditionError)
       << "m > 3 unsupported";
+}
+
+TEST(Theorem1Dp, SaturatedCostsAreRejectedInsteadOfWrapping) {
+  // Hyperreconfiguring twice at v ≈ max/2 used to wrap Cost negative and
+  // make the DP prefer the corrupted schedule.
+  const auto trace = phased(1, 2, 4, 3);
+  MachineSpec machine = MachineSpec::uniform_local(2, 3);
+  for (TaskSpec& task : machine.tasks) {
+    task.local_init = std::numeric_limits<Cost>::max() / 2;
+  }
+  EXPECT_THROW((void)solve_theorem1_dp(trace, machine), PreconditionError);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <mutex>
 
+#include "core/aligned_dp.hpp"
 #include "core/greedy.hpp"
+#include "core/lower_bound.hpp"
 #include "testutil/workload_instances.hpp"
 
 namespace hyperrec::engine {
@@ -18,6 +20,14 @@ WorkloadInstance small_instance() {
   return seeded_workload_instances(3, 24, 12, 0xF01D)[0];
 }
 
+/// small_instance() with unequal v_j: outside the aligned DP's exact class
+/// (core/aligned_dp.hpp), so every member really races.
+WorkloadInstance racing_instance() {
+  WorkloadInstance instance = small_instance();
+  instance.machine.tasks[0].local_init += 1;
+  return instance;
+}
+
 TEST(Portfolio, EmptyConfigRacesTheWholeLineUp) {
   const WorkloadInstance instance = small_instance();
   const PortfolioResult result =
@@ -27,7 +37,7 @@ TEST(Portfolio, EmptyConfigRacesTheWholeLineUp) {
 }
 
 TEST(Portfolio, WinnerHasTheMinimumTotalAmongMembers) {
-  const WorkloadInstance instance = small_instance();
+  const WorkloadInstance instance = racing_instance();
   PortfolioConfig config;
   config.solvers = {"aligned-dp", "greedy-w8", "coord-descent"};
   const PortfolioResult result =
@@ -75,7 +85,7 @@ TEST(Portfolio, SerialAndParallelAgreeWithoutADeadline) {
 }
 
 TEST(Portfolio, CancelLosersStillReportsEveryMember) {
-  const WorkloadInstance instance = small_instance();
+  const WorkloadInstance instance = racing_instance();
   PortfolioConfig config;
   config.cancel_losers = true;
   const PortfolioResult result =
@@ -139,7 +149,7 @@ TEST(Portfolio, AllRacersObserveTheSameSolveInstance) {
   // (and hence one set of precomputed interval tables) across every member
   // — no per-racer copies.  Probe members record the address they were
   // handed; all must equal the caller's instance.
-  const WorkloadInstance workload = small_instance();
+  const WorkloadInstance workload = racing_instance();
   const SolveInstance instance(workload.trace, workload.machine);
 
   std::mutex mutex;
@@ -163,6 +173,84 @@ TEST(Portfolio, AllRacersObserveTheSameSolveInstance) {
   for (const SolveInstance* seen : observed) {
     EXPECT_EQ(seen, &instance) << "racer saw a per-racer instance copy";
   }
+}
+
+TEST(Portfolio, ExactClassRunsAlignedDpAloneAndSkipsTheRest) {
+  // small_instance() is local-only with equal universes, hence equal v_j:
+  // inside the aligned DP's exact class (core/aligned_dp.hpp).
+  const WorkloadInstance workload = small_instance();
+  const SolveInstance instance(workload.trace, workload.machine);
+  ASSERT_TRUE(aligned_dp_is_exact(instance));
+  bool extra_ran = false;
+  PortfolioConfig config;
+  config.extra.push_back(NamedSolver{
+      "probe", [&extra_ran](const SolveInstance& raced, const CancelToken&) {
+        extra_ran = true;
+        return solve_greedy(raced);
+      }});
+  const PortfolioResult result = solve_portfolio(instance, config);
+  ASSERT_EQ(result.entries.size(), standard_solvers().size() + 1);
+  EXPECT_EQ(result.winner, "aligned-dp");
+  EXPECT_FALSE(extra_ran);
+  for (const PortfolioEntry& entry : result.entries) {
+    if (entry.solver == "aligned-dp") {
+      EXPECT_TRUE(entry.ok) << entry.error;
+      EXPECT_EQ(entry.total, result.best.total());
+    } else {
+      EXPECT_FALSE(entry.ok) << entry.solver;
+      EXPECT_EQ(entry.error.rfind("skipped", 0), 0u) << entry.error;
+    }
+  }
+}
+
+TEST(Portfolio, ExactClassCertificateIsTheOptimumItself) {
+  const WorkloadInstance workload = small_instance();
+  const SolveInstance instance(workload.trace, workload.machine);
+  PortfolioConfig config;
+  config.certify = true;
+  const PortfolioResult result = solve_portfolio(instance, config);
+  ASSERT_TRUE(result.best.lower_bound.has_value());
+  EXPECT_EQ(*result.best.lower_bound, result.best.total());
+  EXPECT_EQ(result.best.gap_pct, 0.0);
+  // Outside the class the certificate comes from the relaxation again.
+  const WorkloadInstance racing = racing_instance();
+  const SolveInstance raced(racing.trace, racing.machine);
+  const PortfolioResult race = solve_portfolio(raced, config);
+  ASSERT_TRUE(race.best.lower_bound.has_value());
+  EXPECT_EQ(*race.best.lower_bound, compute_lower_bound(raced).bound);
+}
+
+TEST(Portfolio, WarmStartIsReportedOnlyWhenAMemberReadsIt) {
+  const auto warm_for = [](const WorkloadInstance& workload) {
+    return MultiTaskSchedule::all_single(workload.trace.task_count(),
+                                         workload.trace.steps());
+  };
+  PortfolioConfig config;
+  config.solvers = {"aligned-dp", "coord-descent"};
+  config.parallel = false;
+
+  const WorkloadInstance inside = small_instance();
+  config.warm_start = {warm_for(inside)};
+  EXPECT_FALSE(solve_portfolio(SolveInstance(inside.trace, inside.machine),
+                               config)
+                   .warm_started)
+      << "the exact fast path never reads the seed";
+
+  const WorkloadInstance outside = racing_instance();
+  config.warm_start = {warm_for(outside)};
+  EXPECT_TRUE(solve_portfolio(SolveInstance(outside.trace, outside.machine),
+                              config)
+                  .warm_started);
+  config.solvers = {"aligned-dp", "greedy-w8"};
+  EXPECT_FALSE(solve_portfolio(SolveInstance(outside.trace, outside.machine),
+                               config)
+                   .warm_started)
+      << "no member of this line-up reads the seed";
+  config.warm_start.clear();
+  config.solvers = {"coord-descent"};
+  EXPECT_FALSE(solve_portfolio(SolveInstance(outside.trace, outside.machine),
+                               config)
+                   .warm_started);
 }
 
 TEST(Portfolio, BestBreakdownMatchesReEvaluation) {

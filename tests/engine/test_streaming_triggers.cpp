@@ -325,7 +325,11 @@ TEST(StreamingTriggers, InvalidWindowSolutionIsRejectedWithoutPublishing) {
     return solution;
   };
   config.portfolio.extra.push_back(hostile);
-  StreamingEngine engine(MachineSpec::local_only({4}), EvalOptions{}, config);
+  // Task-sequential hyper upload keeps the instance outside the aligned
+  // DP's exact class, so the hostile member races instead of being skipped.
+  EvalOptions options;
+  options.hyper_upload = UploadMode::kTaskSequential;
+  StreamingEngine engine(MachineSpec::local_only({4}), options, config);
 
   engine.append_step({req_bits(4, {0})});
   // The initial window already went through the hostile winner: it failed

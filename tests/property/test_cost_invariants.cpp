@@ -47,11 +47,23 @@ TEST_P(CostInvariants, TotalDecomposesIntoParts) {
         evaluate_fully_sync_switch(trace_, machine_, schedule, {});
     EXPECT_EQ(breakdown.total, breakdown.hyper + breakdown.reconfig +
                                    breakdown.global_hyper);
-    Cost per_step_sum = 0;
-    for (const auto& step : breakdown.per_step) {
-      per_step_sum += step.hyper + step.reconfig;
+    // Task-parallel hyper upload with v_j = 9 on every task: each step
+    // with a boundary pays exactly 9.
+    EXPECT_EQ(breakdown.hyper,
+              9 * static_cast<Cost>(breakdown.partial_hyper_steps));
+    // Task-sequential reconfig upload: every task pays its interval's
+    // hypercontext size on each step of the interval.
+    const auto contexts = derive_local_hypercontexts(trace_, schedule);
+    Cost reconfig = 0;
+    for (std::size_t j = 0; j < contexts.size(); ++j) {
+      for (std::size_t k = 0; k < contexts[j].size(); ++k) {
+        const auto [start, end] = schedule.tasks[j].interval_bounds(k);
+        reconfig += static_cast<Cost>(contexts[j][k].local.count() +
+                                      contexts[j][k].private_avail) *
+                    static_cast<Cost>(end - start);
+      }
     }
-    EXPECT_EQ(per_step_sum, breakdown.hyper + breakdown.reconfig);
+    EXPECT_EQ(reconfig, breakdown.reconfig);
   }
 }
 

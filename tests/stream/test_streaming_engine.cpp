@@ -89,8 +89,14 @@ TEST(StreamingEngine, WarmStartsAfterTheInitialSolve) {
   Xoshiro256 rng(0x3A);
   const MultiTaskTrace trace =
       workload::make_multi_family("periodic", 1, 20, universe, rng);
-  StreamingEngine engine(MachineSpec::local_only({universe}), EvalOptions{},
-                         fast_config(8, 4));
+  // A warm start needs a member that reads the seed (coordinate descent)
+  // and an instance outside the aligned DP's exact class, where the
+  // portfolio races instead of running the aligned DP alone.
+  StreamingConfig config = fast_config(8, 4);
+  config.portfolio.solvers = {"aligned-dp", "coord-descent"};
+  EvalOptions options;
+  options.hyper_upload = UploadMode::kTaskSequential;
+  StreamingEngine engine(MachineSpec::local_only({universe}), options, config);
   for (std::size_t i = 0; i < trace.steps(); ++i) {
     engine.append_step(trace.step(i));
   }

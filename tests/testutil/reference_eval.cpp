@@ -61,7 +61,6 @@ CostBreakdown reference_fully_sync_breakdown(const MultiTaskTrace& trace,
   };
 
   CostBreakdown breakdown;
-  breakdown.per_step.resize(n);
   for (std::size_t l = 0; l < n; ++l) {
     bool any_boundary = false;
     Cost hyper = 0;
@@ -93,7 +92,6 @@ CostBreakdown reference_fully_sync_breakdown(const MultiTaskTrace& trace,
                              static_cast<Cost>(priv));
     }
     if (any_boundary) ++breakdown.partial_hyper_steps;
-    breakdown.per_step[l] = StepCost{hyper, reconfig};
     breakdown.hyper += hyper;
     breakdown.reconfig += reconfig;
     for (const std::size_t g : schedule.global_boundaries) {

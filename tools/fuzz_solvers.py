@@ -15,6 +15,11 @@ Usage:
   tools/fuzz_solvers.py --binary ... --hierarchical --seconds 30
                                                                # hierarchical
                                                                # vs exhaustive
+  tools/fuzz_solvers.py --binary ... --exact-class --seconds 30
+                                                               # exact fast
+                                                               # path vs every
+                                                               # member and
+                                                               # exhaustive
 
 CI runs a 60-second slice; the ctest `fuzz` label runs the harness's own
 --smoke mode instead (no python needed there).
@@ -45,6 +50,10 @@ def main() -> int:
                         help="fuzz solve_hierarchical (tiny segments, "
                              "certificate bracket) against the exhaustive "
                              "oracle instead of the flat solver line-up")
+    parser.add_argument("--exact-class", action="store_true",
+                        help="fuzz the portfolio's exact aligned-DP fast "
+                             "path on in-class instances against every "
+                             "member run directly and the exhaustive oracle")
     args = parser.parse_args()
 
     binary = pathlib.Path(args.binary)
@@ -62,6 +71,8 @@ def main() -> int:
             command.append("--mux")
         if args.hierarchical:
             command.append("--hierarchical")
+        if args.exact_class:
+            command.append("--exact-class")
         proc = subprocess.run(command, capture_output=True, text=True)
         if proc.returncode != 0:
             sys.stderr.write(proc.stdout)
