@@ -114,9 +114,6 @@ PortfolioResult solve_portfolio(const SolveInstance& instance,
 
   ThreadPool& pool = config.pool != nullptr ? *config.pool
                                             : ThreadPool::global();
-  // on_worker_thread(): racing from inside a worker of the target pool
-  // would block it on members queued behind it (no work stealing) —
-  // degrade to the serial branch, mirroring parallel_for's guard.
   if (exact.has_value()) {
     // The aligned DP is optimal here: racing anyone else cannot improve on
     // it, so every other member is reported as skipped.
@@ -128,6 +125,9 @@ PortfolioResult solve_portfolio(const SolveInstance& instance,
     run_member(*exact);
   } else if (config.parallel && members.size() > 1 &&
              !pool.on_worker_thread()) {
+    // on_worker_thread(): racing from inside a worker of the target pool
+    // would block it on members queued behind it (no work stealing) —
+    // degrade to the serial branch, mirroring parallel_for's guard.
     std::vector<std::future<void>> futures;
     futures.reserve(members.size());
     for (std::size_t i = 0; i < members.size(); ++i) {

@@ -28,6 +28,15 @@ WorkloadInstance racing_instance() {
   return instance;
 }
 
+/// Guards the race tests against going vacuous: had the instance fallen
+/// into the exact class, the members would be skipped instead of raced.
+void expect_no_exact_skip(const PortfolioResult& result) {
+  for (const PortfolioEntry& entry : result.entries) {
+    EXPECT_NE(entry.error.rfind("skipped: aligned-dp is exact", 0), 0u)
+        << entry.solver;
+  }
+}
+
 TEST(Portfolio, EmptyConfigRacesTheWholeLineUp) {
   const WorkloadInstance instance = small_instance();
   const PortfolioResult result =
@@ -67,7 +76,7 @@ TEST(Portfolio, UnknownMemberNameIsAPreconditionError) {
 TEST(Portfolio, SerialAndParallelAgreeWithoutADeadline) {
   // All five members are deterministic given their fixed seeds, so without
   // a deadline the execution mode cannot change any entry's cost.
-  const WorkloadInstance instance = small_instance();
+  const WorkloadInstance instance = racing_instance();
   PortfolioConfig serial;
   serial.parallel = false;
   PortfolioConfig parallel;
@@ -75,6 +84,8 @@ TEST(Portfolio, SerialAndParallelAgreeWithoutADeadline) {
   const SolveInstance problem(instance.trace, instance.machine);
   const PortfolioResult a = solve_portfolio(problem, serial);
   const PortfolioResult b = solve_portfolio(problem, parallel);
+  expect_no_exact_skip(a);
+  expect_no_exact_skip(b);
   ASSERT_EQ(a.entries.size(), b.entries.size());
   for (std::size_t i = 0; i < a.entries.size(); ++i) {
     EXPECT_EQ(a.entries[i].solver, b.entries[i].solver);
@@ -118,7 +129,7 @@ TEST(Portfolio, RaceFromInsideItsOwnPoolDegradesToSerialInsteadOfDeadlock) {
   // One worker, and the race is started from that worker: without the
   // on_worker_thread() guard the member tasks would sit behind the blocked
   // worker forever.
-  const WorkloadInstance instance = small_instance();
+  const WorkloadInstance instance = racing_instance();
   ThreadPool pool(1);
   PortfolioConfig config;
   config.solvers = {"aligned-dp", "greedy-w8"};
@@ -129,15 +140,19 @@ TEST(Portfolio, RaceFromInsideItsOwnPoolDegradesToSerialInsteadOfDeadlock) {
                            config);
   });
   const PortfolioResult result = future.get();
-  EXPECT_EQ(result.entries.size(), 2u);
+  ASSERT_EQ(result.entries.size(), 2u);
+  for (const PortfolioEntry& entry : result.entries) {
+    EXPECT_TRUE(entry.ok) << entry.solver << ": " << entry.error;
+  }
   EXPECT_FALSE(result.winner.empty());
 }
 
 TEST(Portfolio, ExternalCancelStillYieldsAFeasibleBest) {
-  const WorkloadInstance instance = small_instance();
+  const WorkloadInstance instance = racing_instance();
   const SolveInstance problem(instance.trace, instance.machine);
   const PortfolioResult result =
       solve_portfolio(problem, {}, CancelToken::expired());
+  expect_no_exact_skip(result);
   EXPECT_NO_THROW(result.best.schedule.validate(instance.trace.task_count(),
                                                 instance.trace.steps()));
   const MTSolution check = make_solution(problem, result.best.schedule);
