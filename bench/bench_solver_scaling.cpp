@@ -94,7 +94,7 @@ void BM_Exhaustive(benchmark::State& state) {
 BENCHMARK(BM_Exhaustive)->DenseRange(4, 10, 1);
 
 // Cost of building the SolveInstance IR itself (validation + sparse-table
-// unions + presence counts) — the one-off price the whole portfolio shares.
+// unions and demand maxima) — the one-off price the whole portfolio shares.
 void BM_InstanceBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   workload::MultiPhasedConfig config;

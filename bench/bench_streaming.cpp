@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   std::size_t sink = 0;  // defeat dead-code elimination
   for (const MultiTaskTrace& prefix : prefixes) {
     const MultiTaskTraceStats rebuilt(prefix);
-    sink += rebuilt.task(0).support().size();
+    sink += rebuilt.task(0).local_union_count(0, prefix.steps());
   }
   const double reb_s = seconds_since(reb_start);
 

@@ -28,15 +28,18 @@ Cost step_size(const TaskTrace& task, std::size_t l) {
 /// schedule's intervals to a chunk only shrinks unions and range maxima,
 /// and at most one interval per chunk had its hyperreconfiguration paid in
 /// an earlier chunk — so Σ_chunks max(DP(chunk) − [not first]·v, Σ step
-/// sizes) never exceeds the task's true share.
-Cost task_dp_bound(const TaskTrace& task, Cost hyper_init, std::size_t chunk) {
+/// sizes) never exceeds the task's true share.  A chunk covering the whole
+/// trace reuses the instance's tables instead of building its own.
+Cost task_dp_bound(const TaskTraceStats& stats, Cost hyper_init,
+                   std::size_t chunk) {
+  const TaskTrace& task = stats.trace();
   const std::size_t n = task.size();
   Cost bound = 0;
   for (std::size_t lo = 0; lo < n; lo += chunk) {
     const std::size_t hi = std::min(n, lo + chunk);
     Cost dp;
     if (lo == 0 && hi == n) {
-      dp = solve_single_task_switch(task, hyper_init).total;
+      dp = solve_single_task_switch(stats, hyper_init).total;
     } else {
       dp = solve_single_task_switch(task.slice(lo, hi), hyper_init).total;
       if (lo > 0) dp -= hyper_init;
@@ -94,8 +97,8 @@ LowerBoundCertificate compute_lower_bound(const SolveInstance& instance,
   std::vector<Cost> dp_bound(m);
   std::vector<Cost> step_sum(m, 0);
   for (std::size_t j = 0; j < m; ++j) {
-    dp_bound[j] =
-        task_dp_bound(trace.task(j), machine.tasks[j].local_init, chunk);
+    dp_bound[j] = task_dp_bound(instance.task_stats(j),
+                                machine.tasks[j].local_init, chunk);
     for (std::size_t l = 0; l < n; ++l) {
       step_sum[j] += step_size(trace.task(j), l);
     }

@@ -9,160 +9,6 @@ namespace hyperrec {
 
 namespace {
 
-Cost combine(UploadMode mode, Cost acc, Cost value) {
-  return mode == UploadMode::kTaskParallel ? std::max(acc, value) : acc + value;
-}
-
-/// Cost of task j's local hyperreconfiguration into interval k, including
-/// the optional changeover term against the previous hypercontext.
-Cost local_hyper_cost(const MachineSpec& machine, std::size_t j,
-                      const std::vector<DynamicBitset>& unions, std::size_t k,
-                      bool changeover) {
-  Cost cost = machine.tasks[j].local_init;
-  if (changeover) {
-    const DynamicBitset& current = unions[k];
-    if (k == 0) {
-      cost += static_cast<Cost>(current.count());
-    } else {
-      cost += static_cast<Cost>(
-          current.symmetric_difference_count(unions[k - 1]));
-    }
-  }
-  return cost;
-}
-
-/// Validates that within every global block the per-task private quotas fit
-/// into the machine's pool of g units (§3: the global hypercontext assigns
-/// the private-global resources to the tasks).  All range queries are O(1)
-/// against the precomputed stats.
-void check_private_feasibility(const MultiTaskTraceStats& stats,
-                               const MachineSpec& machine,
-                               const MultiTaskSchedule& schedule,
-                               std::size_t steps) {
-  const std::uint64_t pool = machine.private_global_units;
-  if (pool == 0) return;
-  // Walk block bounds [lo, hi) without materialising a boundary vector —
-  // this check runs once per evaluation, and the exhaustive/coordinate-
-  // descent loops evaluate millions of schedules.
-  const std::vector<std::size_t>& bounds = schedule.global_boundaries;
-  const std::size_t blocks = bounds.empty() ? 1 : bounds.size();
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = bounds.empty() ? 0 : bounds[b];
-    const std::size_t hi = (b + 1 < bounds.size()) ? bounds[b + 1] : steps;
-    // The per-step demand sum is a lower bound on the quota sum, so the
-    // O(1) cross-task query short-circuits clearly infeasible blocks.
-    HYPERREC_ENSURE(stats.max_step_demand_sum(lo, hi) <= pool &&
-                        stats.block_quota_sum(lo, hi) <= pool,
-                    "private-global demand exceeds the unit pool within a "
-                    "global block; insert a global hyperreconfiguration");
-  }
-}
-
-/// Stats-backed §4.2 evaluation core.  Per task and interval it derives the
-/// minimal hypercontext *size* from the precomputed tables (O(words) per
-/// interval); the union bitsets themselves are materialised only when the
-/// changeover term needs them.
-CostBreakdown evaluate_fully_sync_impl(const MultiTaskTrace& trace,
-                                       const MultiTaskTraceStats& stats,
-                                       const MachineSpec& machine,
-                                       const MultiTaskSchedule& schedule,
-                                       const EvalOptions& options) {
-  machine.validate_trace(trace);
-  HYPERREC_ENSURE(trace.synchronized(),
-                  "fully synchronised evaluation requires equal-length traces");
-  const std::size_t n = trace.steps();
-  const std::size_t m = trace.task_count();
-  schedule.validate(m, n);
-  if (machine.has_global_resources()) {
-    HYPERREC_ENSURE(!schedule.global_boundaries.empty() &&
-                        schedule.global_boundaries.front() == 0,
-                    "machines with global resources need a global "
-                    "hyperreconfiguration at step 0");
-  } else {
-    HYPERREC_ENSURE(schedule.global_boundaries.empty(),
-                    "machines without global resources cannot perform global "
-                    "hyperreconfigurations");
-  }
-  check_private_feasibility(stats, machine, schedule, n);
-
-  // Per task: interval sizes |U| + priv from the stats views, flattened into
-  // one arena indexed by a per-task offset + interval cursor (one allocation
-  // instead of one per task — the exhaustive and coordinate-descent loops
-  // run this evaluation millions of times).  Union bitsets are materialised
-  // only under changeover (the Δ term needs the actual sets).
-  struct TaskCursor {
-    std::size_t offset = 0;  ///< task's first entry in flat_sizes
-    std::size_t k = 0;       ///< interval index at the current step
-  };
-  std::vector<TaskCursor> cursors(m);
-  std::size_t total_intervals = 0;
-  for (std::size_t j = 0; j < m; ++j) {
-    total_intervals += schedule.tasks[j].interval_count();
-  }
-  std::vector<Cost> flat_sizes;
-  flat_sizes.reserve(total_intervals);
-  std::vector<std::vector<DynamicBitset>> unions(options.changeover ? m : 0);
-  for (std::size_t j = 0; j < m; ++j) {
-    const TaskTraceStats& task = stats.task(j);
-    const Partition& partition = schedule.tasks[j];
-    cursors[j].offset = flat_sizes.size();
-    if (options.changeover) unions[j].reserve(partition.interval_count());
-    for (std::size_t k = 0; k < partition.interval_count(); ++k) {
-      const auto [start, end] = partition.interval_bounds(k);
-      flat_sizes.push_back(
-          static_cast<Cost>(task.local_union_count(start, end)) +
-          static_cast<Cost>(task.max_private_demand(start, end)));
-      if (options.changeover) unions[j].push_back(task.local_union(start, end));
-    }
-  }
-
-  CostBreakdown breakdown;
-
-  for (std::size_t l = 0; l < n; ++l) {
-    bool any_boundary = false;
-    Cost hyper_term = 0;
-    // |h^pub| participates in the max for task-parallel upload and is added
-    // once for task-sequential — both are the combine starting value.
-    Cost reconfig_term = static_cast<Cost>(machine.public_context_size);
-
-    for (std::size_t j = 0; j < m; ++j) {
-      const Partition& partition = schedule.tasks[j];
-      // The cursor knows the next boundary (starts are sorted and walked in
-      // step order), so no per-step binary search.
-      const std::size_t next = cursors[j].k + 1;
-      const bool boundary =
-          l == 0 || (next < partition.interval_count() &&
-                     partition.starts()[next] == l);
-      if (boundary && l > 0) cursors[j].k = next;
-      const std::size_t k = cursors[j].k;
-      if (boundary) {
-        any_boundary = true;
-        hyper_term = combine(
-            options.hyper_upload, hyper_term,
-            options.changeover
-                ? local_hyper_cost(machine, j, unions[j], k, true)
-                : machine.tasks[j].local_init);
-      }
-      reconfig_term = combine(options.reconfig_upload, reconfig_term,
-                              flat_sizes[cursors[j].offset + k]);
-    }
-
-    Cost global_term = 0;
-    if (std::binary_search(schedule.global_boundaries.begin(),
-                           schedule.global_boundaries.end(), l)) {
-      global_term = machine.global_init;
-    }
-
-    if (any_boundary) ++breakdown.partial_hyper_steps;
-    breakdown.hyper += hyper_term;
-    breakdown.reconfig += reconfig_term;
-    breakdown.global_hyper += global_term;
-  }
-  breakdown.total =
-      breakdown.hyper + breakdown.reconfig + breakdown.global_hyper;
-  return breakdown;
-}
-
 AsyncCostBreakdown evaluate_async_impl(const MultiTaskTrace& trace,
                                        const MultiTaskTraceStats& stats,
                                        const MachineSpec& machine,
@@ -205,7 +51,8 @@ AsyncCostBreakdown evaluate_async_impl(const MultiTaskTrace& trace,
           static_cast<Cost>(task.local_union_count(start, end)) +
           static_cast<Cost>(task.max_private_demand(start, end));
       if (options.changeover) unions.push_back(task.local_union(start, end));
-      total += local_hyper_cost(machine, j, unions, k, options.changeover);
+      total +=
+          detail::local_hyper_cost(machine, j, unions, k, options.changeover);
       total += reconfig_each * static_cast<Cost>(end - start);
     }
     breakdown.per_task[j] = total;
@@ -248,15 +95,14 @@ CostBreakdown evaluate_fully_sync_switch(const MultiTaskTrace& trace,
                                          const MachineSpec& machine,
                                          const MultiTaskSchedule& schedule,
                                          const EvalOptions& options) {
-  return evaluate_fully_sync_impl(trace, MultiTaskTraceStats(trace), machine,
-                                  schedule, options);
+  return detail::evaluate_fully_sync(MultiTaskTraceStats(trace), machine,
+                                     schedule, options);
 }
 
 CostBreakdown evaluate_fully_sync_switch(const SolveInstance& instance,
                                          const MultiTaskSchedule& schedule) {
-  return evaluate_fully_sync_impl(instance.trace(), instance.stats(),
-                                  instance.machine(), schedule,
-                                  instance.options());
+  return detail::evaluate_fully_sync(instance.stats(), instance.machine(),
+                                     schedule, instance.options());
 }
 
 AsyncCostBreakdown evaluate_async_switch(const MultiTaskTrace& trace,

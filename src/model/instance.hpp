@@ -6,7 +6,7 @@
 // re-derived the same interval facts from the raw trace.  SolveInstance
 // bundles the triple with eagerly built shared precomputation
 // (model/trace_stats.hpp): sparse-table interval unions, O(1) private-demand
-// maxima, per-switch presence counts and per-step global demand sums.
+// maxima and per-step global demand sums.
 // Construct once at the boundary (CLI, engine, bench, test), then share the
 // instance by const reference across every racer — the precomputation is
 // paid once per instance, not once per solver.

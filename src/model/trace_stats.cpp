@@ -6,8 +6,6 @@ namespace hyperrec {
 
 namespace {
 
-constexpr std::size_t kNoSupport = static_cast<std::size_t>(-1);
-
 std::vector<std::uint8_t> build_log2(std::size_t n) {
   // log2_[len] = floor(log2(len)) for len in [1, n]; index 0 unused.
   std::vector<std::uint8_t> table(n + 1, 0);
@@ -29,7 +27,7 @@ TaskTraceStats::TaskTraceStats(const TaskTrace& trace)
              DynamicBitset::kWordBits) {
   log2_ = build_log2(steps_);
 
-  // --- sparse tables (binary lifting) over unions and private maxima ------
+  // Sparse tables (binary lifting) over unions and private maxima.
   const std::size_t levels = steps_ == 0 ? 0 : std::size_t{log2_[steps_]} + 1;
   level_row_start_.resize(levels);
   std::size_t rows_total = 0;
@@ -58,29 +56,6 @@ TaskTraceStats::TaskTraceStats(const TaskTrace& trace)
           std::max(priv_rows_[row(k - 1, i)], priv_rows_[row(k - 1, i + half)]);
     }
   }
-
-  // --- per-switch prefix presence counts over the support -----------------
-  // Step-major rows: row i+1 is a bulk copy of row i plus increments for
-  // that step's set bits only, so the build is O(n·|support|/width + set
-  // bits) instead of one branchy test per (step, switch).
-  support_index_.assign(universe_, kNoSupport);
-  if (steps_ > 0 && words_ > 0) {
-    // The top sparse-table levels already cover the full range.
-    const DynamicBitset ever = local_union(0, steps_);
-    ever.for_each_set([this](std::size_t b) {
-      support_index_[b] = support_.size();
-      support_.push_back(b);
-    });
-    const std::size_t width = support_.size();
-    presence_.assign((steps_ + 1) * width, 0);
-    for (std::size_t i = 0; i < steps_; ++i) {
-      const std::uint32_t* prev = presence_.data() + i * width;
-      std::uint32_t* next = presence_.data() + (i + 1) * width;
-      std::copy(prev, prev + width, next);
-      trace.at(i).local.for_each_set(
-          [this, next](std::size_t b) { ++next[support_index_[b]]; });
-    }
-  }
 }
 
 DynamicBitset TaskTraceStats::local_union(std::size_t lo,
@@ -91,21 +66,6 @@ DynamicBitset TaskTraceStats::local_union(std::size_t lo,
   // Tail bits past size() are zero in both rows by DynamicBitset's
   // invariant, so the OR of the rows is already a valid word image.
   return DynamicBitset::from_or_words(universe_, rows.a, rows.b, words_);
-}
-
-bool TaskTraceStats::switch_present(std::size_t b, std::size_t lo,
-                                    std::size_t hi) const {
-  return switch_step_count(b, lo, hi) > 0;
-}
-
-std::uint32_t TaskTraceStats::switch_step_count(std::size_t b, std::size_t lo,
-                                                std::size_t hi) const {
-  check_range(lo, hi);
-  HYPERREC_ENSURE(b < universe_, "switch index out of range");
-  const std::size_t si = support_index_[b];
-  if (si == kNoSupport) return 0;
-  const std::size_t width = support_.size();
-  return presence_[hi * width + si] - presence_[lo * width + si];
 }
 
 MultiTaskTraceStats::MultiTaskTraceStats(const MultiTaskTrace& trace)

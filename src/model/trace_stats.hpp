@@ -15,14 +15,12 @@
 //     local_union(lo, hi) is the OR of two precomputed rows — O(words) =
 //     O(universe/64) per query, and local_union_count folds the popcount
 //     into the same two-row pass without materialising a bitset;
-//   * per-switch prefix presence counts over the task's *support* (the
-//     switches that ever appear), giving O(1) switch_present(b, lo, hi)
-//     and popcounts in O(switches touched) — (steps+1)·|support| uint32s,
-//     built step-major with bulk row copies so eager construction stays
-//     cheap even though today's solvers only exercise the union/demand
-//     tables (the presence view serves per-switch analyses and tooling);
 //   * a sparse table of prefix maxima of the private demand — O(1) queries;
 //   * cached step/universe metadata.
+//
+// Those two tables are all the switch-model cost reads of an interval: the
+// size of its local-requirement union and its peak private demand (§2,
+// §4.2).  Nothing else is built, so construction is O(n·log n·words).
 //
 // MultiTaskTraceStats bundles one TaskTraceStats per task and, for
 // synchronized traces, the per-step sums of private demands across tasks
@@ -50,7 +48,7 @@ class TaskTraceStats {
   /// Empty view; every accessor other than assignment is invalid.
   TaskTraceStats() = default;
 
-  /// Builds all tables in O(n·log n·words + n·|support|).
+  /// Builds both tables in O(n·log n·words).
   explicit TaskTraceStats(const TaskTrace& trace);
 
   [[nodiscard]] const TaskTrace& trace() const noexcept { return *trace_; }
@@ -87,14 +85,6 @@ class TaskTraceStats {
     return kernels::or3_popcount(rows.a, rows.b, base.words().data(), words_);
   }
 
-  /// True iff switch b appears in some step of [lo, hi); O(1).
-  [[nodiscard]] bool switch_present(std::size_t b, std::size_t lo,
-                                    std::size_t hi) const;
-
-  /// Number of steps in [lo, hi) that require switch b; O(1).
-  [[nodiscard]] std::uint32_t switch_step_count(std::size_t b, std::size_t lo,
-                                                std::size_t hi) const;
-
   /// Maximum private demand over [lo, hi); 0 for an empty range; O(1).
   [[nodiscard]] std::uint32_t max_private_demand(std::size_t lo,
                                                  std::size_t hi) const {
@@ -103,11 +93,6 @@ class TaskTraceStats {
     const std::size_t k = log2_[hi - lo];
     const std::size_t span = std::size_t{1} << k;
     return std::max(priv_rows_[row(k, lo)], priv_rows_[row(k, hi - span)]);
-  }
-
-  /// Switches that appear in at least one step, ascending.
-  [[nodiscard]] const std::vector<std::size_t>& support() const noexcept {
-    return support_;
   }
 
  private:
@@ -150,11 +135,6 @@ class TaskTraceStats {
   std::vector<DynamicBitset::Word> union_rows_;
   /// priv_rows_[row(k, i)] = max private demand over steps [i, i + 2^k).
   std::vector<std::uint32_t> priv_rows_;
-  /// presence_[i·|support| + si] = #steps < i requiring support_[si].
-  std::vector<std::uint32_t> presence_;
-  std::vector<std::size_t> support_;
-  /// universe → index into support_, or npos for never-required switches.
-  std::vector<std::size_t> support_index_;
 };
 
 namespace detail {

@@ -7,12 +7,6 @@
 
 namespace hyperrec::streaming {
 
-namespace {
-
-constexpr std::size_t kNoSupport = static_cast<std::size_t>(-1);
-
-}  // namespace
-
 // --- TaskStreamStats ------------------------------------------------------
 
 TaskStreamStats::TaskStreamStats(std::size_t universe)
@@ -20,7 +14,6 @@ TaskStreamStats::TaskStreamStats(std::size_t universe)
       words_((universe + DynamicBitset::kWordBits - 1) /
              DynamicBitset::kWordBits) {
   log2_.push_back(0);  // index 0 unused, mirrors trace_stats' build_log2
-  support_index_.assign(universe_, kNoSupport);
 }
 
 TaskStreamStats::TaskStreamStats(const TaskTrace& trace)
@@ -63,27 +56,6 @@ TaskStreamStats::TaskStreamStats(const TaskTrace& trace)
       kernels::or_words(out, a, b, words_);
       priv_levels_[level][i] = std::max(priv_levels_[level - 1][i],
                                         priv_levels_[level - 1][i + half]);
-    }
-  }
-
-  // Support in first-appearance order (matches the append path exactly),
-  // then one prefix pass per column.
-  for (std::size_t i = 0; i < n; ++i) {
-    trace.at(i).local.for_each_set([this](std::size_t b) {
-      if (support_index_[b] == kNoSupport) {
-        support_index_[b] = support_.size();
-        support_.push_back(b);
-      }
-    });
-  }
-  presence_.resize(support_.size());
-  for (std::size_t si = 0; si < support_.size(); ++si) {
-    std::vector<std::uint32_t>& column = presence_[si];
-    column.resize(n + 1);
-    column[0] = 0;
-    const std::size_t b = support_[si];
-    for (std::size_t i = 0; i < n; ++i) {
-      column[i + 1] = column[i] + (trace.at(i).local.test(b) ? 1u : 0u);
     }
   }
 }
@@ -129,22 +101,6 @@ void TaskStreamStats::append(const ContextRequirement& req) {
     priv_levels_[k].push_back(
         std::max(priv_levels_[k - 1][i], priv_levels_[k - 1][i + half]));
   }
-
-  // Presence columns: new switches join with a zero-padded history, then
-  // every support column extends by one prefix entry.
-  req.local.for_each_set([this, n](std::size_t b) {
-    if (support_index_[b] == kNoSupport) {
-      support_index_[b] = support_.size();
-      support_.push_back(b);
-      presence_.emplace_back(n + 1, 0u);
-    }
-  });
-  for (std::size_t si = 0; si < support_.size(); ++si) {
-    std::vector<std::uint32_t>& column = presence_[si];
-    column.push_back(column.back() +
-                     (req.local.test(support_[si]) ? 1u : 0u));
-  }
-
   steps_ = size;
 }
 
@@ -181,32 +137,11 @@ std::uint32_t TaskStreamStats::max_private_demand(std::size_t lo,
   return std::max(priv_levels_[k][lo], priv_levels_[k][hi - span]);
 }
 
-bool TaskStreamStats::switch_present(std::size_t b, std::size_t lo,
-                                     std::size_t hi) const {
-  return switch_step_count(b, lo, hi) > 0;
-}
-
-std::uint32_t TaskStreamStats::switch_step_count(std::size_t b, std::size_t lo,
-                                                 std::size_t hi) const {
-  check_range(lo, hi);
-  HYPERREC_ENSURE(b < universe_, "switch index out of range");
-  const std::size_t si = support_index_[b];
-  if (si == kNoSupport) return 0;
-  return presence_[si][hi] - presence_[si][lo];
-}
-
 void TaskStreamStats::assert_consistent_with(const TaskTraceStats& full) const {
   HYPERREC_ENSURE(steps_ == full.steps(),
                   "stream/rebuild step count divergence");
   HYPERREC_ENSURE(universe_ == full.universe(),
                   "stream/rebuild universe divergence");
-
-  // Support as a set (the stream discovers switches in appearance order,
-  // the full build lists them ascending).
-  std::vector<std::size_t> sorted = support_;
-  std::sort(sorted.begin(), sorted.end());
-  HYPERREC_ENSURE(sorted == full.support(),
-                  "stream/rebuild support divergence");
 
   // Power-of-two ranges read exactly one sparse-table row on each side, so
   // this loop compares every row of every level bit-identically.
@@ -220,23 +155,11 @@ void TaskStreamStats::assert_consistent_with(const TaskTraceStats& full) const {
                       "stream/rebuild private-demand row divergence");
     }
   }
-
-  // Every presence prefix of every switch (non-support switches must read 0
-  // on both sides).
-  for (std::size_t b = 0; b < universe_; ++b) {
-    for (std::size_t i = 0; i <= steps_; ++i) {
-      HYPERREC_ENSURE(switch_step_count(b, 0, i) ==
-                          full.switch_step_count(b, 0, i),
-                      "stream/rebuild presence divergence");
-    }
-  }
 }
 
 // --- TraceBuilderStats ----------------------------------------------------
 
-TraceBuilderStats::TraceBuilderStats(const std::vector<std::size_t>& universes,
-                                     TraceBuilderConfig config)
-    : config_(config) {
+TraceBuilderStats::TraceBuilderStats(const std::vector<std::size_t>& universes) {
   HYPERREC_ENSURE(!universes.empty(), "trace builder needs at least one task");
   log2_.push_back(0);
   for (const std::size_t universe : universes) {
@@ -245,15 +168,43 @@ TraceBuilderStats::TraceBuilderStats(const std::vector<std::size_t>& universes,
   }
 }
 
-TraceBuilderStats::TraceBuilderStats(MultiTaskTrace trace,
-                                     TraceBuilderConfig config)
-    : config_(config), trace_(std::move(trace)) {
+TraceBuilderStats::TraceBuilderStats(MultiTaskTrace trace)
+    : trace_(std::move(trace)) {
   HYPERREC_ENSURE(trace_.task_count() > 0,
                   "trace builder needs at least one task");
   HYPERREC_ENSURE(trace_.synchronized(),
                   "trace builder requires a synchronized trace");
-  rebuild_all();
-  rebuilds_ = 0;  // the adopting build is construction, not a fallback
+  steps_ = trace_.task(0).size();
+  tasks_.reserve(trace_.task_count());
+  for (std::size_t j = 0; j < trace_.task_count(); ++j) {
+    tasks_.emplace_back(trace_.task(j));
+  }
+
+  log2_.assign(1, 0);
+  std::uint8_t k = 0;
+  for (std::size_t len = 1; len <= steps_; ++len) {
+    if ((std::size_t{2} << k) <= len) ++k;
+    log2_.push_back(k);
+  }
+  demand_sums_.assign(steps_, 0);
+  for (std::size_t j = 0; j < trace_.task_count(); ++j) {
+    for (std::size_t i = 0; i < steps_; ++i) {
+      demand_sums_[i] += trace_.task(j).at(i).private_demand;
+    }
+  }
+  if (steps_ == 0) return;
+  const std::size_t levels = std::size_t{log2_[steps_]} + 1;
+  demand_levels_.resize(levels);
+  demand_levels_[0] = demand_sums_;
+  for (std::size_t level = 1; level < levels; ++level) {
+    const std::size_t half = std::size_t{1} << (level - 1);
+    const std::size_t rows = steps_ - (std::size_t{1} << level) + 1;
+    demand_levels_[level].resize(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      demand_levels_[level][i] = std::max(demand_levels_[level - 1][i],
+                                          demand_levels_[level - 1][i + half]);
+    }
+  }
 }
 
 void TraceBuilderStats::ingest_step_views(
@@ -299,70 +250,6 @@ void TraceBuilderStats::append_step(std::vector<ContextRequirement> step) {
                   "append_step needs exactly one requirement per task");
   ingest_step_views(step);
   trace_.append_step(std::move(step));
-}
-
-void TraceBuilderStats::append_steps(
-    std::vector<std::vector<ContextRequirement>> steps) {
-  if (config_.rebuild_threshold > 0 &&
-      steps.size() >= config_.rebuild_threshold) {
-    // Validate the whole chunk before the first trace mutation — a throw
-    // halfway through would leave trace_ ahead of the (not yet rebuilt)
-    // stats views with no rollback.
-    for (const std::vector<ContextRequirement>& step : steps) {
-      HYPERREC_ENSURE(step.size() == tasks_.size(),
-                      "append_steps needs exactly one requirement per task");
-      for (std::size_t j = 0; j < step.size(); ++j) {
-        HYPERREC_ENSURE(step[j].local.size() == tasks_[j].universe(),
-                        "requirement universe differs from its task's "
-                        "universe");
-      }
-    }
-    for (std::vector<ContextRequirement>& step : steps) {
-      trace_.append_step(std::move(step));
-    }
-    rebuild_all();
-    ++rebuilds_;
-    return;
-  }
-  for (std::vector<ContextRequirement>& step : steps) {
-    append_step(std::move(step));
-  }
-}
-
-void TraceBuilderStats::rebuild_all() {
-  steps_ = trace_.task(0).size();
-  tasks_.clear();
-  tasks_.reserve(trace_.task_count());
-  for (std::size_t j = 0; j < trace_.task_count(); ++j) {
-    tasks_.emplace_back(trace_.task(j));
-  }
-
-  log2_.assign(1, 0);
-  std::uint8_t k = 0;
-  for (std::size_t len = 1; len <= steps_; ++len) {
-    if ((std::size_t{2} << k) <= len) ++k;
-    log2_.push_back(k);
-  }
-  demand_sums_.assign(steps_, 0);
-  for (std::size_t j = 0; j < trace_.task_count(); ++j) {
-    for (std::size_t i = 0; i < steps_; ++i) {
-      demand_sums_[i] += trace_.task(j).at(i).private_demand;
-    }
-  }
-  demand_levels_.clear();
-  if (steps_ == 0) return;
-  const std::size_t levels = std::size_t{log2_[steps_]} + 1;
-  demand_levels_.resize(levels);
-  demand_levels_[0] = demand_sums_;
-  for (std::size_t level = 1; level < levels; ++level) {
-    const std::size_t half = std::size_t{1} << (level - 1);
-    const std::size_t rows = steps_ - (std::size_t{1} << level) + 1;
-    demand_levels_[level].resize(rows);
-    for (std::size_t i = 0; i < rows; ++i) {
-      demand_levels_[level][i] = std::max(demand_levels_[level - 1][i],
-                                          demand_levels_[level - 1][i + half]);
-    }
-  }
 }
 
 std::uint64_t TraceBuilderStats::step_demand_sum(std::size_t i) const {

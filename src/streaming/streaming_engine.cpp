@@ -72,7 +72,7 @@ StreamingEngine::StreamingEngine(MachineSpec machine, EvalOptions options,
     : machine_(std::move(machine)),
       options_(options),
       config_(std::move(config)),
-      stats_(machine_universes(machine_), config_.builder) {
+      stats_(machine_universes(machine_)) {
   HYPERREC_ENSURE(machine_.task_count() > 0,
                   "streaming engine needs at least one task");
   HYPERREC_ENSURE(config_.window >= 1, "window must be at least 1");
@@ -93,16 +93,21 @@ std::optional<TriggerKind> StreamingEngine::ingest(
     std::vector<ContextRequirement> step) {
   HYPERREC_ENSURE(step.size() == machine_.task_count(),
                   "append_step needs exactly one requirement per task");
+  // Validate the whole step before any state changes: a rejected step must
+  // leave the rent-or-buy controllers (fed task by task below) and the tick
+  // clock exactly as if it had never been sent.
+  for (std::size_t j = 0; j < step.size(); ++j) {
+    HYPERREC_ENSURE(step[j].local.size() == machine_.tasks[j].local_switches,
+                    "requirement universe differs from its task's universe");
+    HYPERREC_ENSURE(step[j].private_demand <= machine_.private_global_units,
+                    "step private demand exceeds the machine's pool");
+  }
   // Arm the tick clock on first ingest, not at construction: a daemon
   // registers tenant engines ahead of traffic, and a construction-time
   // baseline would let an idle gap before the first steps count as "time
   // since the last solve" and fire kDeadlineTick although nothing was ever
   // solved.
   if (stats_.steps() == 0) last_solve_ = Clock::now();
-  for (const ContextRequirement& req : step) {
-    HYPERREC_ENSURE(req.private_demand <= machine_.private_global_units,
-                    "step private demand exceeds the machine's pool");
-  }
 
   // Rent-or-buy controllers see every step (their waste accounting is
   // stateful), whether or not their verdict ends up being the trigger.
@@ -320,8 +325,12 @@ void StreamingEngine::resolve_window(TriggerKind trigger,
       report.splice_prefix_boundaries += static_cast<std::size_t>(
           std::lower_bound(starts.begin(), starts.end(), lo) - starts.begin());
     }
-    CostBreakdown full = evaluate_fully_sync_switch(stats_.trace(), machine_,
-                                                    spliced, options_);
+    // Priced on the engine's own incremental tables — bit-identical to
+    // evaluate_fully_sync_switch over the trace, which would build a second
+    // set of tables over all n steps on every re-solve.
+    CostBreakdown full =
+        hyperrec::detail::evaluate_fully_sync(stats_, machine_, spliced,
+                                              options_);
     // Publish only after the spliced schedule validated and evaluated —
     // a throw above leaves the previous published schedule untouched.
     published_ = std::move(spliced);
@@ -348,9 +357,8 @@ MTSolution StreamingEngine::current_solution() const {
   // this trace; only appends invalidate that breakdown.
   solution.breakdown = published_breakdown_.has_value()
                            ? *published_breakdown_
-                           : evaluate_fully_sync_switch(
-                                 stats_.trace(), machine_, published_,
-                                 options_);
+                           : hyperrec::detail::evaluate_fully_sync(
+                                 stats_, machine_, published_, options_);
   return solution;
 }
 

@@ -101,8 +101,6 @@ struct StreamingConfig {
   /// this off: an index seed depends on what OTHER streams solved recently,
   /// and a fleet-tenant stream must publish bit-identically to a solo run.
   bool cache_warm_start = true;
-  /// Incremental-stats bulk-append fallback threshold.
-  TraceBuilderConfig builder;
   /// Engine-wide cancellation: a fired token makes re-solves no-ops (the
   /// previously published schedule stays intact and valid).
   CancelToken cancel;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -210,6 +211,33 @@ TEST(StreamingTriggers, RentOrBuyFiresOnAForcedRefit) {
   }
   EXPECT_EQ(refit_steps, (std::vector<std::size_t>{7}));
   EXPECT_EQ(engine.resolve_count(), 2u);  // initial + the forced re-fit
+}
+
+TEST(StreamingTriggers, RejectedStepLeavesRentOrBuyControllersUntouched) {
+  // Regression: the controllers were fed task by task before the universes
+  // were validated, so a step rejected for task 1's universe had already
+  // moved task 0's controller onto bit 1 — and the real switch to bit 1
+  // that follows no longer forced a re-fit.
+  StreamingConfig config = base_config(32);
+  config.trigger.rent_or_buy = true;
+  config.trigger.rent_or_buy_config.alpha = 1e9;
+  config.trigger.rent_or_buy_config.fit_window = 1;
+  const auto last_trigger = [&config](bool send_rejected_step) {
+    StreamingEngine engine(MachineSpec::local_only({4, 4}), EvalOptions{},
+                           config);
+    EXPECT_TRUE(engine.append_step({req_bits(4, {0}), req_bits(4, {0})}));
+    if (send_rejected_step) {
+      EXPECT_THROW(engine.append_step({req_bits(4, {1}), req_bits(5, {0})}),
+                   PreconditionError);
+      EXPECT_EQ(engine.steps(), 1u);
+    }
+    const bool solved =
+        engine.append_step({req_bits(4, {1}), req_bits(4, {0})});
+    return solved ? std::optional<TriggerKind>(engine.windows().back().trigger)
+                  : std::nullopt;
+  };
+  EXPECT_EQ(last_trigger(false), TriggerKind::kRentOrBuy);
+  EXPECT_EQ(last_trigger(true), TriggerKind::kRentOrBuy);
 }
 
 TEST(StreamingTriggers, DeadlineTickFiresAfterWallTimePasses) {

@@ -71,47 +71,12 @@ TEST(TraceStatsProperty, MatchesNaiveOraclesOnEveryRange) {
   }
 }
 
-TEST(TraceStatsProperty, SwitchPresenceMatchesNaiveMembership) {
-  Xoshiro256 rng(0xB17);
-  const TaskTrace trace = random_trace(65, 21, 0.2, 0, rng);
-  const TaskTraceStats stats(trace);
-  for (std::size_t lo = 0; lo <= trace.size(); ++lo) {
-    for (std::size_t hi = lo; hi <= trace.size(); ++hi) {
-      const DynamicBitset expected = trace.local_union_naive(lo, hi);
-      for (std::size_t b = 0; b < trace.local_universe(); ++b) {
-        ASSERT_EQ(stats.switch_present(b, lo, hi), expected.test(b))
-            << "switch " << b << " range [" << lo << ", " << hi << ")";
-      }
-    }
-  }
-  // Step counts: cross-check a switch's per-step occurrences by hand.
-  for (std::size_t b = 0; b < trace.local_universe(); b += 7) {
-    std::uint32_t count = 0;
-    for (std::size_t i = 3; i < 17; ++i) {
-      if (trace.at(i).local.test(b)) ++count;
-    }
-    EXPECT_EQ(stats.switch_step_count(b, 3, 17), count);
-  }
-}
-
-TEST(TraceStatsProperty, SupportListsExactlyTheSwitchesThatEverAppear) {
-  Xoshiro256 rng(0x5150);
-  const TaskTrace trace = random_trace(64, 16, 0.1, 0, rng);
-  const TaskTraceStats stats(trace);
-  const DynamicBitset everything = trace.local_union_naive(0, trace.size());
-  EXPECT_EQ(stats.support().size(), everything.count());
-  for (const std::size_t b : stats.support()) {
-    EXPECT_TRUE(everything.test(b));
-  }
-}
-
 TEST(TraceStats, EmptyTraceAnswersEmptyRangeQueries) {
   const TaskTrace trace(48);
   const TaskTraceStats stats(trace);
   EXPECT_EQ(stats.local_union(0, 0).count(), 0u);
   EXPECT_EQ(stats.local_union_count(0, 0), 0u);
   EXPECT_EQ(stats.max_private_demand(0, 0), 0u);
-  EXPECT_TRUE(stats.support().empty());
 }
 
 TEST(TraceStats, OutOfBoundsRangesThrow) {
@@ -122,7 +87,6 @@ TEST(TraceStats, OutOfBoundsRangesThrow) {
   EXPECT_THROW((void)stats.local_union(0, 6), PreconditionError);
   EXPECT_THROW((void)stats.local_union_count(0, 6), PreconditionError);
   EXPECT_THROW((void)stats.max_private_demand(4, 6), PreconditionError);
-  EXPECT_THROW((void)stats.switch_present(8, 0, 5), PreconditionError);
 }
 
 TEST(MultiTaskTraceStats, DemandSumsMatchManualAccumulation) {

@@ -2,10 +2,15 @@
 // across every workload family and the word-seam universes.  For each
 // scenario the streaming engine ingests the trace step-by-step and must
 //
-//   * keep its incremental TaskTraceStats bit-identical to a from-scratch
-//     rebuild at EVERY appended step (the assert_consistent hooks compare
-//     every sparse-table row, presence prefix and demand sum),
-//   * publish a schedule that validates over everything seen so far, and
+//   * keep its incremental stats bit-identical to a fresh rebuild at EVERY
+//     appended step (the assert_consistent hooks compare every sparse-table
+//     row and demand sum),
+//   * publish a schedule that validates over everything seen so far,
+//   * price it on those live stats exactly as the offline evaluator does on
+//     freshly built tables: a re-solve's published cost, and between
+//     re-solves current_solution()'s whole breakdown (odd seeds run
+//     private-global machines, so the quota check on the live view is
+//     covered too), and
 //   * finish with a spliced schedule whose cost is within a bounded factor
 //     of the offline portfolio solve (same members) on the same final trace.
 #include <gtest/gtest.h>
@@ -14,6 +19,7 @@
 #include <vector>
 
 #include "engine/portfolio.hpp"
+#include "model/cost_switch.hpp"
 #include "streaming/streaming_engine.hpp"
 #include "support/rng.hpp"
 #include "workload/generators.hpp"
@@ -82,7 +88,7 @@ TEST(StreamingVsOffline, FuzzedGrowingTracesStayConsistentAndCostBounded) {
         StreamingEngine engine(scenario.machine, EvalOptions{}, config);
 
         for (std::size_t i = 0; i < steps; ++i) {
-          engine.append_step(scenario.trace.step(i));
+          const bool resolved = engine.append_step(scenario.trace.step(i));
           // Incremental stats must be bit-identical to a from-scratch
           // rebuild after every single append.
           ASSERT_NO_THROW(engine.stats().assert_consistent_with_rebuild())
@@ -90,6 +96,21 @@ TEST(StreamingVsOffline, FuzzedGrowingTracesStayConsistentAndCostBounded) {
           // The published schedule must cover and validate [0, i].
           ASSERT_NO_THROW(engine.schedule().validate(kTasks, i + 1))
               << "step " << i;
+          const CostBreakdown fresh = evaluate_fully_sync_switch(
+              engine.stats().trace(), scenario.machine, engine.schedule());
+          if (resolved) {
+            const WindowReport& window = engine.windows().back();
+            ASSERT_TRUE(window.ok) << window.error;
+            ASSERT_EQ(window.published_cost, fresh.total) << "step " << i;
+          } else {
+            const CostBreakdown live = engine.current_solution().breakdown;
+            ASSERT_EQ(live.total, fresh.total) << "step " << i;
+            ASSERT_EQ(live.hyper, fresh.hyper) << "step " << i;
+            ASSERT_EQ(live.reconfig, fresh.reconfig) << "step " << i;
+            ASSERT_EQ(live.global_hyper, fresh.global_hyper) << "step " << i;
+            ASSERT_EQ(live.partial_hyper_steps, fresh.partial_hyper_steps)
+                << "step " << i;
+          }
         }
         engine.flush();
         for (const WindowReport& window : engine.windows()) {

@@ -1,6 +1,6 @@
 // Incremental trace stats: bit-identical to a from-scratch rebuild at every
 // appended step (word-seam universes included), naive-oracle agreement on
-// random ranges, bulk-append rebuild fallback, and contract violations.
+// random ranges, the adopting bulk build, and contract violations.
 #include "streaming/stream_stats.hpp"
 
 #include <gtest/gtest.h>
@@ -63,13 +63,6 @@ TEST(TaskStreamStats, MatchesNaiveOraclesOnRandomRanges) {
               trace.local_union_naive(lo, hi).count());
     EXPECT_EQ(stream.max_private_demand(lo, hi),
               trace.max_private_demand_naive(lo, hi));
-    const std::size_t b = rng.uniform(universe);
-    std::uint32_t count = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (trace.at(i).local.test(b)) ++count;
-    }
-    EXPECT_EQ(stream.switch_step_count(b, lo, hi), count);
-    EXPECT_EQ(stream.switch_present(b, lo, hi), count > 0);
   }
 }
 
@@ -87,8 +80,6 @@ TEST(TaskStreamStats, BulkBuildEqualsAppendedBuild) {
   const TaskTraceStats full(trace);
   ASSERT_NO_THROW(bulk.assert_consistent_with(full));
   ASSERT_NO_THROW(appended.assert_consistent_with(full));
-  // Both paths discover switches in first-appearance order.
-  EXPECT_EQ(bulk.support(), appended.support());
 }
 
 TEST(TaskStreamStats, EmptyRangesAndEmptyStream) {
@@ -97,7 +88,6 @@ TEST(TaskStreamStats, EmptyRangesAndEmptyStream) {
   EXPECT_EQ(stream.local_union(0, 0), DynamicBitset(10));
   EXPECT_EQ(stream.local_union_count(0, 0), 0u);
   EXPECT_EQ(stream.max_private_demand(0, 0), 0u);
-  EXPECT_FALSE(stream.switch_present(3, 0, 0));
   EXPECT_THROW(stream.local_union(0, 1), PreconditionError);
 
   ContextRequirement req{DynamicBitset(10), 7};
@@ -105,8 +95,6 @@ TEST(TaskStreamStats, EmptyRangesAndEmptyStream) {
   stream.append(req);
   EXPECT_EQ(stream.local_union_count(0, 1), 1u);
   EXPECT_EQ(stream.max_private_demand(0, 1), 7u);
-  EXPECT_THROW(static_cast<void>(stream.switch_step_count(10, 0, 1)),
-               PreconditionError);
   ContextRequirement wrong{DynamicBitset(9), 0};
   EXPECT_THROW(stream.append(wrong), PreconditionError);
 }
@@ -129,7 +117,6 @@ TEST(TraceBuilderStats, PerStepAppendStaysConsistentWithRebuild) {
     EXPECT_EQ(builder.step_demand_sum(i), expected_sum);
     ASSERT_NO_THROW(builder.assert_consistent_with_rebuild()) << "step " << i;
   }
-  EXPECT_EQ(builder.rebuild_count(), 0u);
   EXPECT_EQ(builder.trace().steps(), 24u);
 
   // Range maxima agree with a scan.
@@ -142,48 +129,6 @@ TEST(TraceBuilderStats, PerStepAppendStaysConsistentWithRebuild) {
       EXPECT_EQ(builder.max_step_demand_sum(lo, hi), expected);
     }
   }
-}
-
-TEST(TraceBuilderStats, BulkAppendFallsBackToRebuildAtThreshold) {
-  const std::vector<std::size_t> universes = {32, 32};
-  Xoshiro256 rng(0xFA11);
-
-  auto make_chunk = [&](std::size_t count) {
-    std::vector<std::vector<ContextRequirement>> chunk;
-    for (std::size_t i = 0; i < count; ++i) {
-      std::vector<ContextRequirement> step;
-      for (const std::size_t universe : universes) {
-        step.push_back(random_requirement(universe, rng));
-      }
-      chunk.push_back(std::move(step));
-    }
-    return chunk;
-  };
-
-  TraceBuilderConfig config;
-  config.rebuild_threshold = 8;
-  TraceBuilderStats builder(universes, config);
-  builder.append_steps(make_chunk(7));  // below threshold: per-step appends
-  EXPECT_EQ(builder.rebuild_count(), 0u);
-  EXPECT_EQ(builder.steps(), 7u);
-  builder.append_steps(make_chunk(8));  // at threshold: one full rebuild
-  EXPECT_EQ(builder.rebuild_count(), 1u);
-  EXPECT_EQ(builder.steps(), 15u);
-  ASSERT_NO_THROW(builder.assert_consistent_with_rebuild());
-
-  // Appends after a rebuild continue incrementally and stay consistent.
-  builder.append_steps(make_chunk(3));
-  EXPECT_EQ(builder.rebuild_count(), 1u);
-  EXPECT_EQ(builder.steps(), 18u);
-  ASSERT_NO_THROW(builder.assert_consistent_with_rebuild());
-
-  // Threshold 0 disables the fallback outright.
-  TraceBuilderConfig no_fallback;
-  no_fallback.rebuild_threshold = 0;
-  TraceBuilderStats incremental(universes, no_fallback);
-  incremental.append_steps(make_chunk(20));
-  EXPECT_EQ(incremental.rebuild_count(), 0u);
-  ASSERT_NO_THROW(incremental.assert_consistent_with_rebuild());
 }
 
 TEST(TraceBuilderStats, AdoptsAnExistingTraceAndKeepsGrowing) {
@@ -200,7 +145,6 @@ TEST(TraceBuilderStats, AdoptsAnExistingTraceAndKeepsGrowing) {
 
   TraceBuilderStats builder(std::move(trace));
   EXPECT_EQ(builder.steps(), 10u);
-  EXPECT_EQ(builder.rebuild_count(), 0u);
   ASSERT_NO_THROW(builder.assert_consistent_with_rebuild());
 
   builder.append_step({random_requirement(16, rng), random_requirement(5, rng)});
