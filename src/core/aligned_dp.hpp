@@ -7,9 +7,15 @@
 //               + combine_reconfig_j(|U_j(i,j)| + priv_j(i,j)) · (j − i)
 //
 // (combine = max for task-parallel upload, Σ for task-sequential; the public
-// context size enters the reconfig combine).  An O(m·n²) interval DP is then
-// exact for this machine class, and serves as a strong baseline and seed for
-// the partial-hyperreconfiguration heuristics.
+// context size enters the reconfig combine).  An interval DP is then exact
+// for this machine class, and serves as a strong baseline and seed for the
+// partial-hyperreconfiguration heuristics.  It is O(m·n²) set operations in
+// the worst case; the hyper term is a constant H and the combined reconfig
+// term r(i,j) is non-negative and monotone under interval inclusion, so the
+// scan over starts stops at the exact early exit proven in
+// core/interval_dp.hpp (same proof, same saturating-arithmetic argument,
+// same bit-identical best[] and parent[]) and usually prices a handful of
+// starts per end.
 //
 // Changeover costs are supported only for aligned schedules with hyper
 // upload task-sequential (the per-task Δ terms add); for task-parallel the

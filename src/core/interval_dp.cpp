@@ -8,54 +8,37 @@ namespace hyperrec {
 
 namespace {
 
-SingleTaskSolution reconstruct(const TaskTraceStats& stats,
-                               const std::vector<std::size_t>& parent,
-                               Cost total) {
-  const std::size_t n = stats.steps();
-  std::vector<std::size_t> starts;
-  for (std::size_t cursor = n; cursor != 0; cursor = parent[cursor]) {
-    starts.push_back(parent[cursor]);
-  }
-  std::reverse(starts.begin(), starts.end());
-
-  SingleTaskSolution solution{Partition::from_starts(starts, n), total, {}};
-  for (std::size_t k = 0; k < solution.partition.interval_count(); ++k) {
-    const auto [lo, hi] = solution.partition.interval_bounds(k);
-    solution.hypercontexts.push_back(stats.local_union(lo, hi));
-  }
-  return solution;
-}
-
-}  // namespace
-
-SingleTaskSolution solve_single_task_switch(const TaskTrace& trace,
-                                            Cost hyper_init) {
-  return solve_single_task_switch(TaskTraceStats(trace), hyper_init);
-}
-
-SingleTaskSolution solve_single_task_switch(const TaskTraceStats& stats,
-                                            Cost hyper_init) {
-  const TaskTrace& trace = stats.trace();
-  const std::size_t n = trace.size();
-  HYPERREC_ENSURE(n > 0, "empty trace");
-
-  std::vector<Cost> best(n + 1, kCostInfinity);
-  std::vector<std::size_t> parent(n + 1, 0);
+/// The interval DP over steps [lo, hi) of `trace`, shared by
+/// solve_single_task_switch and single_task_switch_cost.  On return best[k]
+/// is the optimal cost of steps [lo, lo + k) and parent[k] the start
+/// (relative to lo) of its last interval.  Every scan over starts stops at
+/// the exact early exit proven in the header.
+void interval_dp(const TaskTrace& trace, std::size_t lo, std::size_t hi,
+                 Cost hyper_init, std::vector<Cost>& best,
+                 std::vector<std::size_t>& parent) {
+  HYPERREC_ENSURE(hi <= trace.size(), "step range beyond the trace");
+  HYPERREC_ENSURE(lo < hi, "empty trace");
+  const std::size_t n = hi - lo;
+  best.assign(n + 1, kCostInfinity);
+  parent.assign(n + 1, 0);
   best[0] = 0;
+  // The early exit is exact for H ≥ 0 (see the header).
+  const bool prune = hyper_init >= 0;
 
   if (trace.local_universe() <= DynamicBitset::kWordBits) {
     // Small-universe fast path: every local requirement is one word, so the
-    // O(n²) inner loop runs on hoisted raw words — no bounds checks, no
-    // storage indirection, and the union merge is two ALU ops plus a
-    // popcount.  Most workload families live here (universe 6..64).
+    // inner loop runs on hoisted raw words — no bounds checks, no storage
+    // indirection, and the union merge is two ALU ops plus a popcount.
+    // Most workload families live here (universe 6..64).
     using Word = DynamicBitset::Word;
     std::vector<Word> locals(n, 0);
     std::vector<std::uint32_t> demands(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const ContextRequirement& req = trace.at(i);
+      const ContextRequirement& req = trace.at(lo + i);
       if (!req.local.words().empty()) locals[i] = req.local.words().front();
       demands[i] = req.private_demand;
     }
+    // lint: hot-loop begin
     for (std::size_t end = 1; end <= n; ++end) {
       Word running = 0;
       std::size_t union_size = 0;
@@ -70,43 +53,82 @@ SingleTaskSolution solve_single_task_switch(const TaskTraceStats& stats,
             static_cast<Cost>(union_size) + static_cast<Cost>(max_priv);
         // Saturating arithmetic: adversarial hyper_init/private_demand must
         // clamp at the sentinel instead of wrapping Cost (UB).
-        const Cost candidate =
-            cost_add(cost_add(best[start], hyper_init),
-                     cost_mul(per_step, static_cast<Cost>(end - start)));
+        const Cost tail = cost_mul(per_step, static_cast<Cost>(end - start));
+        const Cost candidate = cost_add(cost_add(best[start], hyper_init), tail);
         if (candidate < best[end]) {
           best[end] = candidate;
           parent[end] = start;
         }
+        if (prune && cost_add(best[start], tail) >= best[end]) break;
       }
     }
-    return reconstruct(stats, parent, best[n]);
+    // lint: hot-loop end
+    return;
   }
 
-  // General path: the DP's inner loop keeps its incrementally merged
-  // running union (amortised O(words) per extension beats a table query
-  // per pair); the stats back the reconstruction-time union queries.
+  // General path: the inner loop keeps its incrementally merged running
+  // union (amortised O(words) per extension beats a table query per pair).
   DynamicBitset running(trace.local_universe());
+  // lint: hot-loop begin
   for (std::size_t end = 1; end <= n; ++end) {
     running.reset_all();
     std::size_t union_size = 0;
     std::uint32_t max_priv = 0;
     // Extend the candidate interval [start, end) leftwards.
     for (std::size_t start = end; start-- > 0;) {
-      union_size += running.merge_counting(trace.at(start).local);
-      max_priv = std::max(max_priv, trace.at(start).private_demand);
+      const ContextRequirement& req = trace.at(lo + start);
+      union_size += running.merge_counting(req.local);
+      max_priv = std::max(max_priv, req.private_demand);
       const Cost per_step =
           static_cast<Cost>(union_size) + static_cast<Cost>(max_priv);
       // Saturating arithmetic (see the fast path above).
-      const Cost candidate =
-          cost_add(cost_add(best[start], hyper_init),
-                   cost_mul(per_step, static_cast<Cost>(end - start)));
+      const Cost tail = cost_mul(per_step, static_cast<Cost>(end - start));
+      const Cost candidate = cost_add(cost_add(best[start], hyper_init), tail);
       if (candidate < best[end]) {
         best[end] = candidate;
         parent[end] = start;
       }
+      if (prune && cost_add(best[start], tail) >= best[end]) break;
     }
   }
-  return reconstruct(stats, parent, best[n]);
+  // lint: hot-loop end
+}
+
+}  // namespace
+
+SingleTaskSolution solve_single_task_switch(const TaskTrace& trace,
+                                            Cost hyper_init) {
+  return solve_single_task_switch(TaskTraceStats(trace), hyper_init);
+}
+
+SingleTaskSolution solve_single_task_switch(const TaskTraceStats& stats,
+                                            Cost hyper_init) {
+  const std::size_t n = stats.steps();
+  std::vector<Cost> best;
+  std::vector<std::size_t> parent;
+  interval_dp(stats.trace(), 0, n, hyper_init, best, parent);
+
+  std::vector<std::size_t> starts;
+  for (std::size_t cursor = n; cursor != 0; cursor = parent[cursor]) {
+    starts.push_back(parent[cursor]);
+  }
+  std::reverse(starts.begin(), starts.end());
+
+  SingleTaskSolution solution{Partition::from_starts(starts, n), best[n], {}};
+  // The stats back the reconstruction-time union queries.
+  for (std::size_t k = 0; k < solution.partition.interval_count(); ++k) {
+    const auto [lo, hi] = solution.partition.interval_bounds(k);
+    solution.hypercontexts.push_back(stats.local_union(lo, hi));
+  }
+  return solution;
+}
+
+Cost single_task_switch_cost(const TaskTrace& trace, std::size_t lo,
+                             std::size_t hi, Cost hyper_init) {
+  std::vector<Cost> best;
+  std::vector<std::size_t> parent;
+  interval_dp(trace, lo, hi, hyper_init, best, parent);
+  return best.back();
 }
 
 SingleTaskSolution solve_single_task_switch_changeover(const TaskTrace& trace,

@@ -1,6 +1,7 @@
 #include "core/lower_bound.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "core/interval_dp.hpp"
@@ -28,24 +29,19 @@ Cost step_size(const TaskTrace& task, std::size_t l) {
 /// schedule's intervals to a chunk only shrinks unions and range maxima,
 /// and at most one interval per chunk had its hyperreconfiguration paid in
 /// an earlier chunk — so Σ_chunks max(DP(chunk) − [not first]·v, Σ step
-/// sizes) never exceeds the task's true share.  A chunk covering the whole
-/// trace reuses the instance's tables instead of building its own.
-Cost task_dp_bound(const TaskTraceStats& stats, Cost hyper_init,
-                   std::size_t chunk) {
-  const TaskTrace& task = stats.trace();
+/// sizes) never exceeds the task's true share.  Each chunk's DP runs in
+/// place on the task's trace.
+Cost task_dp_bound(const TaskTrace& task, const std::vector<Cost>& sizes,
+                   Cost hyper_init, std::size_t chunk) {
   const std::size_t n = task.size();
   Cost bound = 0;
   for (std::size_t lo = 0; lo < n; lo += chunk) {
     const std::size_t hi = std::min(n, lo + chunk);
-    Cost dp;
-    if (lo == 0 && hi == n) {
-      dp = solve_single_task_switch(stats, hyper_init).total;
-    } else {
-      dp = solve_single_task_switch(task.slice(lo, hi), hyper_init).total;
-      if (lo > 0) dp -= hyper_init;
-    }
-    Cost per_step = 0;
-    for (std::size_t l = lo; l < hi; ++l) per_step += step_size(task, l);
+    Cost dp = single_task_switch_cost(task, lo, hi, hyper_init);
+    if (lo > 0) dp -= hyper_init;
+    const Cost per_step = std::accumulate(
+        sizes.begin() + static_cast<std::ptrdiff_t>(lo),
+        sizes.begin() + static_cast<std::ptrdiff_t>(hi), Cost{0});
     bound += std::max(dp, per_step);
   }
   return bound;
@@ -70,18 +66,31 @@ LowerBoundCertificate compute_lower_bound(const SolveInstance& instance,
       machine.has_global_resources() ? machine.global_init : 0;
   const Cost pub = static_cast<Cost>(machine.public_context_size);
 
+  // One pass per task computes its per-step sizes once: they feed the
+  // per-step bound (1) and every chunk's floor and the task's total floor
+  // in the relaxation (2).
+  std::size_t chunk = config.chunk;
+  if (chunk == 0) chunk = n <= 2048 ? n : 512;
+  std::vector<Cost> step_term(n, pub);
+  std::vector<Cost> sizes(n);
+  std::vector<Cost> dp_bound(m);
+  std::vector<Cost> step_sum(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const TaskTrace& task = trace.task(j);
+    for (std::size_t l = 0; l < n; ++l) {
+      sizes[l] = step_size(task, l);
+      step_term[l] = combine(options.reconfig_upload, step_term[l], sizes[l]);
+    }
+    step_sum[j] = std::accumulate(sizes.begin(), sizes.end(), Cost{0});
+    dp_bound[j] =
+        task_dp_bound(task, sizes, machine.tasks[j].local_init, chunk);
+  }
+
   // 1. Per-step demand bound.  Step 0 additionally hyperreconfigures every
   // task (under changeover the charge is local_init + |h Δ ∅| ≥ local_init,
   // so using local_init stays sound).
-  Cost per_step_total = 0;
-  for (std::size_t l = 0; l < n; ++l) {
-    Cost term = pub;
-    for (std::size_t j = 0; j < m; ++j) {
-      term = combine(options.reconfig_upload, term,
-                     step_size(trace.task(j), l));
-    }
-    per_step_total += term;
-  }
+  const Cost per_step_total =
+      std::accumulate(step_term.begin(), step_term.end(), Cost{0});
   Cost first_hyper = 0;
   for (std::size_t j = 0; j < m; ++j) {
     first_hyper = combine(options.hyper_upload, first_hyper,
@@ -92,17 +101,6 @@ LowerBoundCertificate compute_lower_bound(const SolveInstance& instance,
   // 2. Interval-union relaxation.  The exact single-task DP lower-bounds
   // each task's share (forced boundaries from the multi-task schedule only
   // cost more); how the per-task bounds add up depends on the upload modes.
-  std::size_t chunk = config.chunk;
-  if (chunk == 0) chunk = n <= 2048 ? n : 512;
-  std::vector<Cost> dp_bound(m);
-  std::vector<Cost> step_sum(m, 0);
-  for (std::size_t j = 0; j < m; ++j) {
-    dp_bound[j] = task_dp_bound(instance.task_stats(j),
-                                machine.tasks[j].local_init, chunk);
-    for (std::size_t l = 0; l < n; ++l) {
-      step_sum[j] += step_size(trace.task(j), l);
-    }
-  }
   const Cost pub_total = static_cast<Cost>(n) * pub;
   Cost relax = 0;
   if (options.reconfig_upload == UploadMode::kTaskSequential) {

@@ -18,10 +18,14 @@
 //     reconfiguration cost in *any* multi-task schedule (extra forced
 //     boundaries only cost more).  How the per-task bounds combine depends
 //     on the upload modes; see the .cpp for the per-mode algebra.  For long
-//     traces the O(n²) DP is chunked: clipping intervals at chunk edges
-//     only shrinks unions/demands, and at most one hyperreconfiguration per
-//     chunk was paid in an earlier chunk, so the chunked sum stays a valid
-//     lower bound.
+//     traces the DP (O(n²) in the worst case) is chunked: clipping
+//     intervals at chunk edges only shrinks unions/demands, and at most one
+//     hyperreconfiguration per chunk was paid in an earlier chunk, so the
+//     chunked sum stays a valid lower bound.  Each chunk's DP runs in place
+//     on the task's trace (single_task_switch_cost) with the exact early
+//     exit, so a chunk usually costs a handful of union merges per step
+//     rather than chunk/2; each step's size |req_j(l)| + d_j(l) is computed
+//     once and shared by both relaxations.
 #pragma once
 
 #include <optional>

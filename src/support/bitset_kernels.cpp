@@ -301,6 +301,21 @@ constexpr KernelTable kAvx2Table = {
 #define HYPERREC_AVX512_TARGET \
   __attribute__((target("avx512f,avx512bw,avx512vpopcntdq")))
 
+// The unmasked andnot, the extract inside _mm512_reduce_add_epi64 and the
+// 512→256 cast pass an _mm*_undefined_*() merge source, which GCC 12
+// reports as a (false) -Wmaybe-uninitialized / -Wuninitialized; the
+// zero-masking forms compute the same values without one.
+
+HYPERREC_AVX512_TARGET inline __m512i andnot512(__m512i a, __m512i b) {
+  return _mm512_maskz_andnot_epi64(0xFF, a, b);  // ~a & b
+}
+
+HYPERREC_AVX512_TARGET inline std::size_t reduce512(__m512i acc) {
+  return reduce256(
+      _mm256_add_epi64(_mm512_maskz_extracti64x4_epi64(0xF, acc, 0),
+                       _mm512_maskz_extracti64x4_epi64(0xF, acc, 1)));
+}
+
 HYPERREC_AVX512_TARGET void avx512_or(Word* dst, const Word* a, const Word* b,
                                       std::size_t n) {
   std::size_t i = 0;
@@ -326,7 +341,7 @@ HYPERREC_AVX512_TARGET void avx512_andnot(Word* dst, const Word* a,
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     _mm512_storeu_si512(dst + i,
-                        _mm512_andnot_si512(_mm512_loadu_si512(b + i),
+                        andnot512(_mm512_loadu_si512(b + i),
                                             _mm512_loadu_si512(a + i)));
   }
   for (; i < n; ++i) dst[i] = a[i] & ~b[i];
@@ -350,7 +365,7 @@ HYPERREC_AVX512_TARGET std::size_t avx512_popcount(const Word* a,
     acc = _mm512_add_epi64(acc,
                            _mm512_popcnt_epi64(_mm512_loadu_si512(a + i)));
   }
-  std::size_t total = static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
+  std::size_t total = reduce512(acc);
   for (; i < n; ++i) total += popcount_word(a[i]);
   return total;
 }
@@ -365,7 +380,7 @@ HYPERREC_AVX512_TARGET std::size_t avx512_or_popcount(const Word* a,
         _mm512_or_si512(_mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i));
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
   }
-  std::size_t total = static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
+  std::size_t total = reduce512(acc);
   for (; i < n; ++i) total += popcount_word(a[i] | b[i]);
   return total;
 }
@@ -382,7 +397,7 @@ HYPERREC_AVX512_TARGET std::size_t avx512_or3_popcount(const Word* a,
         _mm512_loadu_si512(c + i));
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
   }
-  std::size_t total = static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
+  std::size_t total = reduce512(acc);
   for (; i < n; ++i) total += popcount_word(a[i] | b[i] | c[i]);
   return total;
 }
@@ -397,7 +412,7 @@ HYPERREC_AVX512_TARGET std::size_t avx512_xor_popcount(const Word* a,
         _mm512_xor_si512(_mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i));
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
   }
-  std::size_t total = static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
+  std::size_t total = reduce512(acc);
   for (; i < n; ++i) total += popcount_word(a[i] ^ b[i]);
   return total;
 }
@@ -408,11 +423,11 @@ HYPERREC_AVX512_TARGET std::size_t avx512_andnot_popcount(const Word* a,
   __m512i acc = _mm512_setzero_si512();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m512i v = _mm512_andnot_si512(_mm512_loadu_si512(b + i),
+    const __m512i v = andnot512(_mm512_loadu_si512(b + i),
                                           _mm512_loadu_si512(a + i));
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
   }
-  std::size_t total = static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
+  std::size_t total = reduce512(acc);
   for (; i < n; ++i) total += popcount_word(a[i] & ~b[i]);
   return total;
 }
@@ -421,7 +436,7 @@ HYPERREC_AVX512_TARGET bool avx512_subset(const Word* a, const Word* b,
                                           std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m512i diff = _mm512_andnot_si512(_mm512_loadu_si512(b + i),
+    const __m512i diff = andnot512(_mm512_loadu_si512(b + i),
                                              _mm512_loadu_si512(a + i));
     if (_mm512_test_epi64_mask(diff, diff) != 0) return false;
   }
@@ -455,10 +470,10 @@ HYPERREC_AVX512_TARGET std::size_t avx512_or_merge_count(Word* dst,
     const __m512i vd = _mm512_loadu_si512(dst + i);
     const __m512i vs = _mm512_loadu_si512(src + i);
     acc = _mm512_add_epi64(acc,
-                           _mm512_popcnt_epi64(_mm512_andnot_si512(vd, vs)));
+                           _mm512_popcnt_epi64(andnot512(vd, vs)));
     _mm512_storeu_si512(dst + i, _mm512_or_si512(vd, vs));
   }
-  std::size_t added = static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
+  std::size_t added = reduce512(acc);
   for (; i < n; ++i) {
     added += popcount_word(src[i] & ~dst[i]);
     dst[i] |= src[i];

@@ -203,6 +203,48 @@ TEST(SingleTaskDp, CostsJustBelowSaturationStayExact) {
   EXPECT_EQ(solve_single_task_switch(trace, exact_v).total, exact_v + 16);
 }
 
+// --- single_task_switch_cost: the certificate's in-place chunk DP ---------
+
+TEST(SingleTaskSwitchCost, EqualsTheSlicedSolveOnRandomRanges) {
+  // Universes on both sides of one word (one-word and multi-word loop),
+  // private demand on some steps, ranges with lo > 0, one-step ranges and
+  // ranges ending at n, and costs up to the saturating range.
+  Xoshiro256 rng(77);
+  constexpr std::size_t n = 96;
+  for (const std::size_t universe : {12, 64, 65, 130}) {
+    TaskTrace trace(universe);
+    for (std::size_t l = 0; l < n; ++l) {
+      trace.push_back({testutil::random_requirement(rng, universe, 0.3),
+                       static_cast<std::uint32_t>(rng.uniform(3))});
+    }
+    std::vector<std::pair<std::size_t, std::size_t>> ranges = {
+        {0, n}, {0, 1}, {n - 1, n}, {37, 38}, {5, n}, {40, 72}};
+    for (int k = 0; k < 30; ++k) {
+      const std::size_t lo = rng.uniform(n);
+      ranges.emplace_back(lo, lo + 1 + rng.uniform(n - lo));
+    }
+    for (const Cost v : {Cost{0}, Cost{3}, static_cast<Cost>(universe),
+                         kCostInfinity - 1}) {
+      for (const auto& [lo, hi] : ranges) {
+        EXPECT_EQ(single_task_switch_cost(trace, lo, hi, v),
+                  solve_single_task_switch(trace.slice(lo, hi), v).total)
+            << "universe " << universe << " [" << lo << ", " << hi
+            << ") v = " << v;
+      }
+    }
+  }
+}
+
+TEST(SingleTaskSwitchCost, RejectsEmptyAndOutOfRangeRanges) {
+  const TaskTrace trace = trace_from({"1100", "1100", "0011", "0011"});
+  EXPECT_THROW((void)single_task_switch_cost(trace, 2, 2, 1),
+               PreconditionError);
+  EXPECT_THROW((void)single_task_switch_cost(trace, 3, 5, 1),
+               PreconditionError);
+  EXPECT_EQ(single_task_switch_cost(trace, 0, 4, 2),
+            solve_single_task_switch(trace, 2).total);
+}
+
 TEST(SingleTaskChangeoverDp, AdversarialInitCostSaturatesInsteadOfWrapping) {
   const TaskTrace trace = trace_from({"1100", "0011", "1100"});
   for (const Cost huge :

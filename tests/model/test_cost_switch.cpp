@@ -133,7 +133,7 @@ TEST(FullySyncSwitch, UnsynchronizedTraceRejected) {
   trace.add_task(std::move(t1));
   const auto machine = MachineSpec::uniform_local(2, 2);
   const auto schedule = MultiTaskSchedule::all_single(2, 1);
-  EXPECT_THROW(evaluate_fully_sync_switch(trace, machine, schedule, {}),
+  EXPECT_THROW((void)evaluate_fully_sync_switch(trace, machine, schedule, {}),
                PreconditionError);
 }
 
@@ -142,7 +142,7 @@ TEST(FullySyncSwitch, GlobalBoundariesForbiddenWithoutGlobalResources) {
   const auto machine = small_machine();
   auto schedule = MultiTaskSchedule::all_single(2, 3);
   schedule.global_boundaries = {0};
-  EXPECT_THROW(evaluate_fully_sync_switch(trace, machine, schedule, {}),
+  EXPECT_THROW((void)evaluate_fully_sync_switch(trace, machine, schedule, {}),
                PreconditionError);
 }
 
@@ -152,7 +152,7 @@ TEST(FullySyncSwitch, GlobalResourcesRequireInitialGlobalBoundary) {
   machine.public_context_size = 2;
   machine.global_init = 10;
   const auto schedule = MultiTaskSchedule::all_single(2, 3);  // no globals
-  EXPECT_THROW(evaluate_fully_sync_switch(trace, machine, schedule, {}),
+  EXPECT_THROW((void)evaluate_fully_sync_switch(trace, machine, schedule, {}),
                PreconditionError);
 }
 
@@ -208,8 +208,9 @@ TEST(FullySyncSwitch, PrivateDemandAddsToReconfigAndChecksPool) {
   EXPECT_EQ(breakdown.global_hyper, 7);
 
   machine.private_global_units = 4;  // quotas 2 + 3 no longer fit
-  EXPECT_THROW(evaluate_fully_sync_switch(trace, machine, schedule, options),
-               PreconditionError);
+  EXPECT_THROW(
+      (void)evaluate_fully_sync_switch(trace, machine, schedule, options),
+      PreconditionError);
 }
 
 TEST(NoHyperBaseline, IsStepsTimesTotalSwitches) {

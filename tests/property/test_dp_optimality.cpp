@@ -40,7 +40,10 @@ INSTANTIATE_TEST_SUITE_P(
                       DpCase{5, 12, 8, 3}, DpCase{6, 12, 8, 20},
                       DpCase{7, 14, 5, 1}, DpCase{8, 14, 5, 7},
                       DpCase{9, 16, 6, 12}, DpCase{10, 16, 10, 4},
-                      DpCase{11, 18, 4, 6}, DpCase{12, 18, 12, 9}));
+                      DpCase{11, 18, 4, 6}, DpCase{12, 18, 12, 9},
+                      // Above one word: the multi-word loop.
+                      DpCase{13, 14, 65, 20}, DpCase{14, 16, 65, 3},
+                      DpCase{15, 14, 130, 60}, DpCase{16, 16, 130, 8}));
 
 struct MtCase {
   std::uint64_t seed;
@@ -120,7 +123,10 @@ INSTANTIATE_TEST_SUITE_P(Grid, AlignedDpProperty,
                                            AlignedCase{23, 4, 8, 6},
                                            AlignedCase{24, 2, 11, 8},
                                            AlignedCase{25, 3, 10, 5},
-                                           AlignedCase{26, 5, 7, 4}));
+                                           AlignedCase{26, 5, 7, 4},
+                                           // Above one word.
+                                           AlignedCase{27, 2, 10, 65},
+                                           AlignedCase{28, 3, 9, 130}));
 
 }  // namespace
 }  // namespace hyperrec
