@@ -3,8 +3,11 @@
 // general problems blow up exponentially.
 //
 // Google-benchmark timings:
-//   * BM_SingleTaskDp    — O(n²) in the trace length,
-//   * BM_AlignedDp       — O(m·n²),
+//   * BM_SingleTaskDp    — O(n²) in the trace length in the worst case; the
+//                          exact early exit (core/interval_dp.hpp) stops each
+//                          scan within about a phase here, so the phased
+//                          traces below grow close to linearly,
+//   * BM_AlignedDp       — O(m·n²) in the worst case, same early exit,
 //   * BM_CoordDescent    — polynomial local search on partial schedules,
 //   * BM_Exhaustive      — 2^{m(n−1)} schedules (tiny n only),
 //   * BM_ImplicitGeneral — 2^{|X|} hypercontexts per interval (tiny |X|).

@@ -11,7 +11,7 @@ namespace {
 /// The interval DP over steps [lo, hi) of `trace`, shared by
 /// solve_single_task_switch and single_task_switch_cost.  On return best[k]
 /// is the optimal cost of steps [lo, lo + k) and parent[k] the start
-/// (relative to lo) of its last interval.  Every scan over starts stops at
+/// (relative to lo) of its last interval.  The scans over starts stop at
 /// the exact early exit proven in the header.
 void interval_dp(const TaskTrace& trace, std::size_t lo, std::size_t hi,
                  Cost hyper_init, std::vector<Cost>& best,
@@ -22,7 +22,7 @@ void interval_dp(const TaskTrace& trace, std::size_t lo, std::size_t hi,
   best.assign(n + 1, kCostInfinity);
   parent.assign(n + 1, 0);
   best[0] = 0;
-  // The early exit is exact for H ≥ 0 (see the header).
+  // The early exit is proven for H ≥ 0 only (see the header).
   const bool prune = hyper_init >= 0;
 
   if (trace.local_universe() <= DynamicBitset::kWordBits) {
@@ -54,7 +54,8 @@ void interval_dp(const TaskTrace& trace, std::size_t lo, std::size_t hi,
         // Saturating arithmetic: adversarial hyper_init/private_demand must
         // clamp at the sentinel instead of wrapping Cost (UB).
         const Cost tail = cost_mul(per_step, static_cast<Cost>(end - start));
-        const Cost candidate = cost_add(cost_add(best[start], hyper_init), tail);
+        const Cost candidate =
+            cost_add(cost_add(best[start], hyper_init), tail);
         if (candidate < best[end]) {
           best[end] = candidate;
           parent[end] = start;

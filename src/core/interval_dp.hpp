@@ -36,10 +36,13 @@
 // exact sum.  Either best[s′] + H + r(s′,s)·(s − s′) reaches the clamp —
 // then candidate(s′) = kCostInfinity ≥ best[e] — or best[s] is at most that
 // exact sum and the chain above holds with both ends clamped (the clamp is
-// monotone).  A negative H can push a partial sum into the −kCostInfinity
-// clamp, where the chain fails, so the scan prunes only when H ≥ 0.  The
-// argument uses nothing but "H fixed, r ≥ 0 monotone", so it covers the
-// aligned DP (core/aligned_dp.hpp) unchanged, with its combined hyper and
+// monotone).  With a negative H the chain can fail: best[s′] + H can be
+// negative while r(s′,e)·(e − s′) saturates, so candidate(s′) lands below
+// the clamp although best[s] + r(s,e)·(e − s) does not.  That takes a tail
+// of kCostInfinity (over 5·10⁸ steps even at the largest private demand),
+// but the scan prunes only when H ≥ 0, so the argument needs no size limit.
+// It uses nothing but "H fixed, r ≥ 0 monotone", so it covers the aligned
+// DP (core/aligned_dp.hpp) unchanged, with its combined hyper and
 // reconfiguration terms as H and r.
 //
 // single_task_switch_cost runs the same DP loop in place on a step range of

@@ -340,9 +340,8 @@ HYPERREC_AVX512_TARGET void avx512_andnot(Word* dst, const Word* a,
                                           const Word* b, std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_si512(dst + i,
-                        andnot512(_mm512_loadu_si512(b + i),
-                                            _mm512_loadu_si512(a + i)));
+    _mm512_storeu_si512(dst + i, andnot512(_mm512_loadu_si512(b + i),
+                                           _mm512_loadu_si512(a + i)));
   }
   for (; i < n; ++i) dst[i] = a[i] & ~b[i];
 }
@@ -423,8 +422,8 @@ HYPERREC_AVX512_TARGET std::size_t avx512_andnot_popcount(const Word* a,
   __m512i acc = _mm512_setzero_si512();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m512i v = andnot512(_mm512_loadu_si512(b + i),
-                                          _mm512_loadu_si512(a + i));
+    const __m512i v =
+        andnot512(_mm512_loadu_si512(b + i), _mm512_loadu_si512(a + i));
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
   }
   std::size_t total = reduce512(acc);
@@ -436,8 +435,8 @@ HYPERREC_AVX512_TARGET bool avx512_subset(const Word* a, const Word* b,
                                           std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m512i diff = andnot512(_mm512_loadu_si512(b + i),
-                                             _mm512_loadu_si512(a + i));
+    const __m512i diff =
+        andnot512(_mm512_loadu_si512(b + i), _mm512_loadu_si512(a + i));
     if (_mm512_test_epi64_mask(diff, diff) != 0) return false;
   }
   for (; i < n; ++i) {
@@ -469,8 +468,7 @@ HYPERREC_AVX512_TARGET std::size_t avx512_or_merge_count(Word* dst,
   for (; i + 8 <= n; i += 8) {
     const __m512i vd = _mm512_loadu_si512(dst + i);
     const __m512i vs = _mm512_loadu_si512(src + i);
-    acc = _mm512_add_epi64(acc,
-                           _mm512_popcnt_epi64(andnot512(vd, vs)));
+    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(andnot512(vd, vs)));
     _mm512_storeu_si512(dst + i, _mm512_or_si512(vd, vs));
   }
   std::size_t added = reduce512(acc);

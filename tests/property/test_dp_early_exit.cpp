@@ -7,7 +7,7 @@
 // local-only and private-demand-plus-public-context machines, all four
 // upload-mode pairs, and hyperreconfiguration costs from 0 through the
 // saturating range (kCostInfinity − 1, Cost max − 1000) to negative values,
-// where the scan must not prune.
+// for which the scan does not prune.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -70,7 +70,7 @@ std::vector<Variant> variants(const std::string& family, std::size_t steps,
       workload::make_multi_family(family, kTasks, steps, universe, rng)
           .slice(0, steps);
   std::vector<Variant> out;
-  out.push_back({base.slice(0, steps), false});
+  out.push_back({base, false});
   out.push_back({with_private_demand(base, rng), true});
   return out;
 }
@@ -119,8 +119,8 @@ TEST_P(DpEarlyExit, SingleTaskDpMatchesUnprunedReference) {
           expect_same_single_task(task.slice(0, steps), init, skippable);
         }
       }
-      // A cost whose partial sums hit the −kCostInfinity clamp: the scan
-      // must price every start there.
+      // Any negative cost turns the early exit off; this one also drives
+      // the partial sums into the −kCostInfinity clamp.
       expect_same_single_task(task, -(kCostInfinity / 8), skippable);
     }
   }

@@ -9,8 +9,9 @@
 // bit-identical totals and partitions.
 //
 // The loops only observe the early-exit rule: when `skippable` is non-null
-// it receives the number of (end, start) pairs the production scan skips, so
-// a test can show that its instances really reach the pruned path.
+// it receives the number of (end, start) pairs the rule skips (the
+// production scan applies it when the hyper term is non-negative), so a
+// test can show that its instances really reach the pruned path.
 #pragma once
 
 #include "core/interval_dp.hpp"
