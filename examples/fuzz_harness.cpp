@@ -19,10 +19,13 @@
 //                segment (forcing the fan-out/stitch/boundary-DP/seam-repair
 //                path) and checks the spliced schedule, re-evaluated cost
 //                and the certificate bracket lower_bound <= optimum <= cost;
-//                on half the iterations the pool is shrunk so the boundary
-//                DP must split blocks, and the optimum comes from
-//                solve_private_global (exhaustive blocks, every step a
-//                candidate) instead
+//                where the portfolio is exact (engine::portfolio_is_exact)
+//                the solve must come back flat with cost == optimum ==
+//                lower_bound; on half the iterations the pool is shrunk so
+//                the boundary DP must split blocks, and the optimum comes
+//                from solve_private_global (exhaustive blocks, every step a
+//                candidate) instead; the summary counts flat and segmented
+//                solves
 //     --exact-class
 //                exact fast-path differential mode: each iteration draws an
 //                instance inside the aligned DP's exact class (random task
@@ -314,14 +317,23 @@ bool check_mux_iteration(std::uint64_t seed) {
   return true;
 }
 
+/// How the --hierarchical iterations were solved, for the summary line.
+struct HierarchicalTally {
+  std::size_t flat = 0;       ///< one window (short trace or exact)
+  std::size_t exact = 0;      ///< of those, exact (portfolio_is_exact)
+  std::size_t segmented = 0;  ///< more than one window
+};
+
 /// One --hierarchical iteration: a random instance (changeover forced off —
 /// the hierarchical tier declines it by documented precondition) is solved
 /// through solve_hierarchical with a tiny segment length, so even the 2..8
-/// step fuzz traces genuinely exercise the segment fan-out, stitch, boundary
-/// DP and seam repair.  Oracles: the spliced schedule validates, the
+/// step fuzz traces outside the exact class genuinely exercise the segment
+/// fan-out, stitch, boundary DP and seam repair.  Oracles: the spliced schedule validates, the
 /// reported cost equals an independent re-evaluation, the cost is bounded
 /// below by the optimum, and the attached certificate brackets it
-/// (lower_bound <= optimum <= hierarchical cost).
+/// (lower_bound <= optimum <= hierarchical cost).  Where the portfolio is
+/// exact the solve must be flat, optimal and certified by itself
+/// (cost == optimum == lower_bound).
 ///
 /// The drawn pool covers the worst-case quota sum, so one block always
 /// fits.  On half the iterations every step of every task gets its own
@@ -331,7 +343,8 @@ bool check_mux_iteration(std::uint64_t seed) {
 /// block is then infeasible for solve_exhaustive, and the optimum is
 /// solve_private_global with exhaustive blocks and every step a candidate —
 /// exact, since global blocks cost independently without changeover.
-bool check_hierarchical_iteration(std::uint64_t seed) {
+bool check_hierarchical_iteration(std::uint64_t seed,
+                                  HierarchicalTally& tally) {
   Xoshiro256 rng(seed * 0x9E3779B97F4A7C15ull + 0x41E12);
   FuzzInstance fuzz = draw_instance(rng);
   fuzz.options.changeover = false;
@@ -453,6 +466,25 @@ bool check_hierarchical_iteration(std::uint64_t seed) {
                         " exceeds the optimum " + std::to_string(optimum),
                     "--hierarchical ");
     return false;
+  }
+  if (engine::portfolio_is_exact(instance, config.portfolio)) {
+    if (result.segments != 1 || solution.total() != optimum ||
+        *solution.lower_bound != solution.total()) {
+      dump_reproducer(fuzz, seed, tag,
+                      "exact instance: " + std::to_string(result.segments) +
+                          " segments, cost " +
+                          std::to_string(solution.total()) + ", lower bound " +
+                          std::to_string(*solution.lower_bound) +
+                          ", optimum " + std::to_string(optimum),
+                      "--hierarchical ");
+      return false;
+    }
+    ++tally.exact;
+  }
+  if (result.segments == 1) {
+    ++tally.flat;
+  } else {
+    ++tally.segmented;
   }
   return true;
 }
@@ -584,13 +616,15 @@ int main(int argc, char** argv) {
     }
 
     if (hierarchical) {
+      HierarchicalTally tally;
       for (std::size_t iter = 0; iter < iters; ++iter) {
-        if (!check_hierarchical_iteration(seed + iter)) return 1;
+        if (!check_hierarchical_iteration(seed + iter, tally)) return 1;
       }
       std::printf("fuzz_harness: %zu hierarchical solves consistent with the "
                   "exact optimum and their certificates "
-                  "(seeds %llu..%llu)\n",
-                  iters, static_cast<unsigned long long>(seed),
+                  "(%zu flat, %zu exact, %zu segmented; seeds %llu..%llu)\n",
+                  iters, tally.flat, tally.exact, tally.segmented,
+                  static_cast<unsigned long long>(seed),
                   static_cast<unsigned long long>(seed + iters - 1));
       return 0;
     }

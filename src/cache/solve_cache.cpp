@@ -6,6 +6,7 @@
 #include <future>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "support/thread_annotations.hpp"
 
@@ -14,6 +15,28 @@ namespace hyperrec::cache {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Flights the calling thread leads, innermost last.  A compute callback
+/// that asks the cache for its own key again (solve_hierarchical's flat
+/// branch inside a BatchEngine job that shares its cache) would wait on its
+/// own future forever; it computes independently instead.
+thread_local std::vector<const void*> t_led_flights;
+
+/// Registers a led flight for the scope of its compute callback.
+class LeadingFlight {
+ public:
+  explicit LeadingFlight(const void* flight) : active_(flight != nullptr) {
+    if (active_) t_led_flights.push_back(flight);
+  }
+  ~LeadingFlight() {
+    if (active_) t_led_flights.pop_back();
+  }
+  LeadingFlight(const LeadingFlight&) = delete;
+  LeadingFlight& operator=(const LeadingFlight&) = delete;
+
+ private:
+  bool active_;
+};
 
 /// A cached solution in its stored form.  The per-task boundary masks are
 /// packed into one word array — per task its step count, then its mask
@@ -296,7 +319,9 @@ MTSolution SolveCache::get_or_compute_guarded(
     }
     const auto in_it = shard.inflight.find(key.fingerprint);
     if (in_it != shard.inflight.end() &&
-        in_it->second->canonical == key.canonical) {
+        in_it->second->canonical == key.canonical &&
+        std::find(t_led_flights.begin(), t_led_flights.end(),
+                  in_it->second.get()) == t_led_flights.end()) {
       flight = in_it->second;
     } else if (in_it == shard.inflight.end()) {
       // Become the leader: register the flight before unlocking so every
@@ -308,8 +333,8 @@ MTSolution SolveCache::get_or_compute_guarded(
       leader = true;
     }
     // else: an in-flight computation for a *different* canonical key shares
-    // the fingerprint (forged collision) — compute independently below
-    // without touching its flight.
+    // the fingerprint (forged collision), or the flight is this thread's
+    // own — compute independently below without touching it.
   }
 
   if (!leader && flight != nullptr) {
@@ -332,6 +357,7 @@ MTSolution SolveCache::get_or_compute_guarded(
   if (outcome != nullptr) *outcome = CacheOutcome::kMiss;
   ComputeResult result;
   try {
+    const LeadingFlight leading(leader ? flight.get() : nullptr);
     result = compute();
   } catch (...) {
     if (leader) {

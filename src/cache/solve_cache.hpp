@@ -107,9 +107,11 @@ class SolveCache {
   /// waits on an identical in-flight computation when one exists, and
   /// otherwise runs `compute` in the calling thread and caches its result.
   /// Exceptions from `compute` propagate to the caller and all coalesced
-  /// waiters.  `outcome`, when non-null, reports which path was taken; it
-  /// is written *before* computing or waiting, so it is valid even when
-  /// the call exits by exception.
+  /// waiters.  A `compute` that asks for its own key again computes that
+  /// nested request independently instead of waiting on itself.
+  /// `outcome`, when non-null, reports which path was taken; it is written
+  /// *before* computing or waiting, so it is valid even when the call exits
+  /// by exception.
   [[nodiscard]] MTSolution get_or_compute(
       const InstanceKey& key, const std::function<MTSolution()>& compute,
       CacheOutcome* outcome = nullptr);

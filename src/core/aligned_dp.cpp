@@ -6,12 +6,7 @@
 
 namespace hyperrec {
 
-namespace {
-Cost combine(UploadMode mode, Cost acc, Cost value) {
-  return mode == UploadMode::kTaskParallel ? std::max(acc, value)
-                                           : cost_add(acc, value);
-}
-}  // namespace
+using detail::combine;
 
 MTSolution solve_aligned_dp(const SolveInstance& instance) {
   const MultiTaskTrace& trace = instance.trace();

@@ -34,8 +34,11 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
 
   HierarchicalResult result;
 
-  // Flat fallback: one window covers the whole trace.
-  if (n <= config.segment) {
+  // Flat: one window covers the whole trace, or the member portfolio is
+  // exact on the instance — its answer is then the optimum at any length,
+  // and segments, seams and a relaxation could only cost more.
+  const bool exact = engine::portfolio_is_exact(instance, member);
+  if (n <= config.segment || exact) {
     result.segments = 1;
     if (config.cache) {
       cache::CacheOutcome outcome = cache::CacheOutcome::kMiss;
@@ -53,7 +56,11 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
           engine::solve_portfolio(instance, member, config.cancel).best;
     }
     result.global_blocks = result.solution.schedule.global_boundaries.size();
-    if (config.certify) {
+    if (config.certify && exact) {
+      // The optimum certifies itself.
+      result.solution.lower_bound = result.solution.total();
+      result.solution.gap_pct = 0.0;
+    } else if (config.certify) {
       attach_certificate(instance, result.solution, config.bound);
     }
     return result;

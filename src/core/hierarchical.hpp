@@ -1,9 +1,23 @@
 // Hierarchical segment-parallel solver for huge instances (ROADMAP item 4).
 //
-// Exhaustive and the DPs cap out at toy sizes; 1e6-step traces need a
+// Exhaustive search caps out at toy sizes, and outside the aligned DP's
+// exact class the portfolio races heuristics; 1e6-step traces there need a
 // divide-and-conquer tier that extends the paper's §4 interval DP exactly
 // one level up.  solve_hierarchical
 //
+//   0. solves exact instances flat: when engine::portfolio_is_exact holds
+//      (aligned-dp in the line-up, instance in aligned_dp_is_exact's class)
+//      the portfolio's answer for the whole trace is the optimum, so it is
+//      returned as one window at any length, and under `certify` it
+//      certifies itself (lower_bound = total, gap 0) without a relaxation.
+//      The aligned DP is O(m·n²) union merges in the worst case, but its
+//      exact early exit makes it near-linear on all five workload families:
+//      at 4 tasks × 1e5 steps × 32 switches it takes 39–63 ms on phased,
+//      random, bursty and periodic traces and 123 ms on random-walk (one
+//      thread of a shared 4-vCPU Intel Xeon, best of 2), where segments
+//      plus the certificate took 123–207 ms and 340 ms.
+//      Traces no longer than one segment are solved flat too, racing and
+//      certified by the relaxation as usual.  Everything else
 //   1. segments the trace into fixed-length windows and solves each window
 //      independently through engine::solve_portfolio — in parallel on the
 //      global ThreadPool (serially when the caller already runs on one of
@@ -25,7 +39,8 @@
 //      is an exact-cost improvement (computed from the full instance's
 //      stats tables — this is where segment-local myopia gets paid back).
 //
-// Every result carries a certified optimality gap (core/lower_bound.hpp).
+// With `certify` every result carries a certified optimality gap: 0 on an
+// exact flat solve, the relaxation's (core/lower_bound.hpp) otherwise.
 //
 // Preconditions: synchronized trace, and options.changeover == false — with
 // changeover the cost of an interval depends on its predecessor across the
@@ -44,20 +59,23 @@
 namespace hyperrec {
 
 struct HierarchicalConfig {
-  /// Segment length in steps.  Traces no longer than this are handed to
-  /// the portfolio directly.
+  /// Segment length in steps.  Traces no longer than this, and instances
+  /// the portfolio solves exactly (engine::portfolio_is_exact), are handed
+  /// to the portfolio directly as one window.
   std::size_t segment = 512;
   /// Per-segment portfolio; `parallel`/`pool` are ignored (segments, not
   /// members, are the parallel unit here).
   engine::PortfolioConfig portfolio;
-  /// Optional shared memoization: segment solves go through
-  /// get_or_compute_guarded keyed by the segment's instance fingerprint.
+  /// Optional shared memoization: window solves (each segment, or the whole
+  /// trace when flat) go through get_or_compute_guarded keyed by the
+  /// window's instance fingerprint.
   std::shared_ptr<cache::SolveCache> cache;
   /// Drop forced seam boundaries again where merging adjacent intervals is
   /// an exact-cost win (task-sequential reconfig upload only; under the
   /// per-step-max mode the deltas are not task-separable).
   bool seam_repair = true;
-  /// Attach a lower bound + gap certificate to the result.
+  /// Attach a lower bound + gap certificate to the result: the total itself
+  /// on an exact flat solve, the relaxation otherwise.
   bool certify = true;
   LowerBoundConfig bound;
   CancelToken cancel;
@@ -65,10 +83,12 @@ struct HierarchicalConfig {
 
 struct HierarchicalResult {
   MTSolution solution;
-  std::size_t segments = 0;       ///< windows solved (1 = flat fallback)
+  /// Windows solved: 1 when the trace went flat (no longer than a segment,
+  /// or exact at any length).
+  std::size_t segments = 0;
   std::size_t global_blocks = 0;  ///< blocks the boundary DP settled on
   std::size_t seam_merges = 0;    ///< seam boundaries removed by repair
-  std::size_t cache_hits = 0;     ///< segment solves served by the cache
+  std::size_t cache_hits = 0;     ///< window solves served by the cache
 };
 
 /// Solves `instance` hierarchically.  The returned schedule is always

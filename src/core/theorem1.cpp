@@ -8,10 +8,7 @@ namespace hyperrec {
 
 namespace {
 
-Cost combine(UploadMode mode, Cost acc, Cost value) {
-  return mode == UploadMode::kTaskParallel ? std::max(acc, value)
-                                           : cost_add(acc, value);
-}
+using detail::combine;
 
 struct Interval {
   std::uint32_t end;   ///< inclusive last step of the committed interval

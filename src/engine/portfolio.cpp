@@ -1,5 +1,6 @@
 #include "engine/portfolio.hpp"
 
+#include <algorithm>
 #include <future>
 #include <optional>
 #include <utility>
@@ -41,22 +42,16 @@ std::vector<NamedSolver> resolve_members(const PortfolioConfig& config,
   return members;
 }
 
-/// Index of the registry's aligned-dp member when the instance lies in the
-/// class where it is optimal (core/aligned_dp.hpp), so nobody else need run.
-/// `extra` members (appended after the registry ones) never qualify.
-std::optional<std::size_t> exact_member(const SolveInstance& instance,
-                                        const std::vector<NamedSolver>& members,
-                                        std::size_t registry_count) {
-  for (std::size_t i = 0; i < registry_count; ++i) {
-    if (members[i].name == "aligned-dp") {
-      if (!aligned_dp_is_exact(instance)) return std::nullopt;
-      return i;
-    }
-  }
-  return std::nullopt;
-}
-
 }  // namespace
+
+bool portfolio_is_exact(const SolveInstance& instance,
+                        const PortfolioConfig& config) {
+  const bool listed =
+      config.solvers.empty() ||
+      std::find(config.solvers.begin(), config.solvers.end(), "aligned-dp") !=
+          config.solvers.end();
+  return listed && aligned_dp_is_exact(instance);
+}
 
 PortfolioResult solve_portfolio(const SolveInstance& instance,
                                 const PortfolioConfig& config,
@@ -79,8 +74,18 @@ PortfolioResult solve_portfolio(const SolveInstance& instance,
   }
   const std::vector<NamedSolver> members = resolve_members(config, hints);
   HYPERREC_ENSURE(!members.empty(), "portfolio needs at least one member");
-  const std::optional<std::size_t> exact =
-      exact_member(instance, members, members.size() - config.extra.size());
+  // Registry members come first, in line-up order; `extra` members follow
+  // them and never qualify.
+  std::optional<std::size_t> exact;
+  if (portfolio_is_exact(instance, config)) {
+    const auto registry_end =
+        members.end() - static_cast<std::ptrdiff_t>(config.extra.size());
+    const auto aligned = std::find_if(
+        members.begin(), registry_end,
+        [](const NamedSolver& solver) { return solver.name == "aligned-dp"; });
+    HYPERREC_ASSERT(aligned != registry_end);
+    exact = static_cast<std::size_t>(aligned - members.begin());
+  }
 
   CancelToken race = config.deadline.count() > 0
                          ? CancelToken::linked(cancel,

@@ -18,13 +18,13 @@
 // The best completed answer wins; ties break towards the earlier line-up
 // position, so results are deterministic for a fixed member set.
 //
-// Exact fast path: when "aligned-dp" is in the line-up and the instance
-// lies in the class where it is optimal over all schedules
-// (aligned_dp_is_exact, proof in core/aligned_dp.hpp), it runs alone and
-// every other member — registry or `extra` — is reported as a skipped
-// entry.  Under `certify` the answer then certifies itself (lower_bound =
-// total, gap 0) without computing a relaxation.  Instances outside the
-// class race as described above.
+// Exact fast path: when portfolio_is_exact holds — "aligned-dp" is in the
+// line-up and the instance lies in the class where it is optimal over all
+// schedules (aligned_dp_is_exact, proof in core/aligned_dp.hpp) — it runs
+// alone and every other member, registry or `extra`, is reported as a
+// skipped entry.  Under `certify` the answer then certifies itself
+// (lower_bound = total, gap 0) without computing a relaxation.  Instances
+// outside the class race as described above.
 #pragma once
 
 #include <chrono>
@@ -89,6 +89,16 @@ struct PortfolioResult {
   /// (NamedSolver::consumes_warm_start) actually ran.
   bool warm_started = false;
 };
+
+/// The exact fast path's test, the one place that decides it: true when
+/// "aligned-dp" is a registry member of `config`'s line-up (an empty
+/// `solvers` list means the whole line-up; `extra` members never qualify)
+/// and aligned_dp_is_exact(instance) holds, so the aligned DP's answer is
+/// the optimum and no other member need run.  solve_portfolio races
+/// everyone else only when this is false; solve_hierarchical solves such
+/// instances flat at any length (core/hierarchical.hpp).
+[[nodiscard]] bool portfolio_is_exact(const SolveInstance& instance,
+                                      const PortfolioConfig& config);
 
 /// Races the configured members on one instance.  Every member receives the
 /// *same* SolveInstance by const reference — the shared precomputation is

@@ -36,6 +36,7 @@
 #include "model/schedule.hpp"
 #include "model/trace.hpp"
 #include "model/types.hpp"
+#include "support/cost_math.hpp"
 #include "support/ensure.hpp"
 
 namespace hyperrec {
@@ -94,8 +95,10 @@ struct CostBreakdown {
 namespace detail {
 
 /// Per-step combine: max for task-parallel upload, Σ for task-sequential.
+/// The Σ saturates at ±kCostInfinity (support/cost_math.hpp), as the DPs do.
 [[nodiscard]] inline Cost combine(UploadMode mode, Cost acc, Cost value) {
-  return mode == UploadMode::kTaskParallel ? std::max(acc, value) : acc + value;
+  return mode == UploadMode::kTaskParallel ? std::max(acc, value)
+                                           : cost_add(acc, value);
 }
 
 /// Cost of task j's local hyperreconfiguration into interval k, including
@@ -107,9 +110,10 @@ namespace detail {
   Cost cost = machine.tasks[j].local_init;
   if (changeover) {
     const DynamicBitset& current = unions[k];
-    cost += static_cast<Cost>(
-        k == 0 ? current.count()
-               : current.symmetric_difference_count(unions[k - 1]));
+    cost = cost_add(
+        cost, static_cast<Cost>(
+                  k == 0 ? current.count()
+                         : current.symmetric_difference_count(unions[k - 1])));
   }
   return cost;
 }
@@ -222,14 +226,17 @@ template <typename Stats>
     }
 
     if (any_boundary) ++breakdown.partial_hyper_steps;
-    breakdown.hyper += hyper_term;
-    breakdown.reconfig += reconfig_term;
+    breakdown.hyper = cost_add(breakdown.hyper, hyper_term);
+    breakdown.reconfig = cost_add(breakdown.reconfig, reconfig_term);
     if (std::binary_search(bounds.begin(), bounds.end(), l)) {
-      breakdown.global_hyper += machine.global_init;
+      breakdown.global_hyper =
+          cost_add(breakdown.global_hyper, machine.global_init);
     }
   }
-  breakdown.total =
-      breakdown.hyper + breakdown.reconfig + breakdown.global_hyper;
+  // Saturating sums: a total beyond the sentinel reads as kCostInfinity
+  // instead of wrapping.
+  breakdown.total = cost_add(cost_add(breakdown.hyper, breakdown.reconfig),
+                             breakdown.global_hyper);
   return breakdown;
 }
 

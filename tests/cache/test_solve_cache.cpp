@@ -336,6 +336,29 @@ TEST(SolveCache, ComputeExceptionPropagatesToAllWaitersAndClearsFlight) {
   EXPECT_EQ(ok.total(), 8);
 }
 
+TEST(SolveCache, ComputeAskingForItsOwnKeyDoesNotWaitOnItself) {
+  // A leader's compute that asks the cache for the same key again (a
+  // BatchEngine job whose solver shares the engine's cache) used to wait on
+  // its own flight forever.  The nested request computes independently;
+  // only the outer result is stored.
+  SolveCache cache({.capacity = 8, .ttl = {}, .shards = 1});
+  const InstanceKey key = key_for(62);
+  CacheOutcome inner_outcome = CacheOutcome::kHit;
+  const MTSolution outer = cache.get_or_compute(key, [&]() {
+    const MTSolution inner = cache.get_or_compute(
+        key, [] { return solution_with(5); }, &inner_outcome);
+    return solution_with(inner.total() + 1);
+  });
+  EXPECT_EQ(outer.total(), 6);
+  EXPECT_EQ(inner_outcome, CacheOutcome::kMiss);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().coalesced, 0u);
+  EXPECT_EQ(cache.inflight(), 0u);
+  const auto stored = cache.lookup(key);
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(stored->total(), 6);
+}
+
 TEST(SolveCache, FailedPiggybackCountsAsCoalescedFailureNotAHit) {
   // Regression: the waiter path bumped `coalesced` before blocking on the
   // flight's future — i.e. the outcome was recorded before the flight

@@ -132,7 +132,8 @@ TEST(AlignedDp, AdversarialInitCostSaturatesInsteadOfWrapping) {
   // make the DP "prefer" the corrupted candidate.  With saturating cost
   // arithmetic every candidate clamps at the sentinel, the single interval
   // (the optimum: each extra boundary costs another v) wins, and the
-  // evaluated total stays exact: v + 2 tasks × |{s0..s3}| × 4 steps.
+  // evaluated total v + 2 tasks × |{s0..s3}| × 4 steps saturates the same
+  // way: exact below the sentinel, kCostInfinity from it on.
   const auto trace = MultiTaskTrace::from_local(
       {4, 4}, {{DynamicBitset::from_string("1100"),
                 DynamicBitset::from_string("1100"),
@@ -143,7 +144,8 @@ TEST(AlignedDp, AdversarialInitCostSaturatesInsteadOfWrapping) {
                 DynamicBitset::from_string("1100"),
                 DynamicBitset::from_string("1100")}});
   for (const Cost huge :
-       {kCostInfinity - 1, kCostInfinity, kCostInfinity + 7,
+       {kCostInfinity - 100, kCostInfinity - 1, kCostInfinity,
+        kCostInfinity + 7,
         std::numeric_limits<Cost>::max() / 2,
         std::numeric_limits<Cost>::max() - 1000}) {
     MachineSpec machine = MachineSpec::uniform_local(2, 4);
@@ -154,7 +156,7 @@ TEST(AlignedDp, AdversarialInitCostSaturatesInsteadOfWrapping) {
     for (const Partition& partition : solution.schedule.tasks) {
       EXPECT_EQ(partition.interval_count(), 1u) << "v = " << huge;
     }
-    EXPECT_EQ(solution.total(), huge + 2 * 4 * 4) << "v = " << huge;
+    EXPECT_EQ(solution.total(), cost_add(huge, 2 * 4 * 4)) << "v = " << huge;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/aligned_dp.hpp"
 #include "support/thread_pool.hpp"
 #include "testutil/oracles.hpp"
 #include "testutil/trace_builders.hpp"
@@ -14,6 +15,12 @@ HierarchicalConfig segmented(std::size_t segment) {
   config.segment = segment;
   return config;
 }
+
+/// Task-sequential hyper upload puts an instance outside the aligned DP's
+/// exact class, so solve_hierarchical segments it; task-sequential reconfig
+/// upload keeps seam repair live.
+constexpr EvalOptions kSegmentedOptions{UploadMode::kTaskSequential,
+                                        UploadMode::kTaskSequential, false};
 
 /// Constant trace: every step of every task asks for the same requirement,
 /// so all equal-length segments are identical sub-instances.
@@ -56,8 +63,10 @@ MachineSpec pooled_machine() {
 TEST(Hierarchical, MultiSegmentSolveIsValidAndCertified) {
   const auto trace = testutil::phased_multi(7, 2, 24, 6);
   const MachineSpec machine = MachineSpec::local_only({6, 6});
-  const SolveInstance instance(trace, machine);
-  const auto result = solve_hierarchical(instance, segmented(6));
+  const SolveInstance instance(trace, machine, kSegmentedOptions);
+  const HierarchicalConfig config = segmented(6);
+  ASSERT_FALSE(engine::portfolio_is_exact(instance, config.portfolio));
+  const auto result = solve_hierarchical(instance, config);
   EXPECT_EQ(result.segments, 4u);
   EXPECT_EQ(result.solution.total(),
             evaluate_fully_sync_switch(instance, result.solution.schedule)
@@ -72,9 +81,12 @@ TEST(Hierarchical, CostBracketsTheExhaustiveOptimum) {
   Xoshiro256 rng(11);
   const auto trace = testutil::random_multi_trace(rng, 2, 6, 4);
   const MachineSpec machine = MachineSpec::local_only({4, 4});
-  const Cost optimum = testutil::brute_force_multi_task(trace, machine, {});
-  const SolveInstance instance(trace, machine);
-  const auto result = solve_hierarchical(instance, segmented(2));
+  const Cost optimum =
+      testutil::brute_force_multi_task(trace, machine, kSegmentedOptions);
+  const SolveInstance instance(trace, machine, kSegmentedOptions);
+  const HierarchicalConfig config = segmented(2);
+  ASSERT_FALSE(engine::portfolio_is_exact(instance, config.portfolio));
+  const auto result = solve_hierarchical(instance, config);
   EXPECT_GE(result.solution.total(), optimum);
   ASSERT_TRUE(result.solution.lower_bound.has_value());
   EXPECT_LE(*result.solution.lower_bound, optimum);
@@ -92,9 +104,10 @@ TEST(Hierarchical, FlatFallbackWhenOneSegmentCoversTheTrace) {
 TEST(Hierarchical, SegmentStartsAreTaskBoundariesWithoutRepair) {
   const auto trace = testutil::phased_multi(3, 2, 20, 5);
   const MachineSpec machine = MachineSpec::local_only({5, 5});
-  const SolveInstance instance(trace, machine);
+  const SolveInstance instance(trace, machine, kSegmentedOptions);
   HierarchicalConfig config = segmented(5);
   config.seam_repair = false;
+  ASSERT_FALSE(engine::portfolio_is_exact(instance, config.portfolio));
   const auto result = solve_hierarchical(instance, config);
   EXPECT_EQ(result.seam_merges, 0u);
   for (const auto& partition : result.solution.schedule.tasks) {
@@ -105,18 +118,22 @@ TEST(Hierarchical, SegmentStartsAreTaskBoundariesWithoutRepair) {
 }
 
 TEST(Hierarchical, SeamRepairNeverHurts) {
+  std::size_t merges = 0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Xoshiro256 rng(seed);
     const auto trace = testutil::random_multi_trace(rng, 2, 18, 5);
     const MachineSpec machine = MachineSpec::local_only({5, 5});
-    const SolveInstance instance(trace, machine);
+    const SolveInstance instance(trace, machine, kSegmentedOptions);
     HierarchicalConfig off = segmented(4);
     off.seam_repair = false;
     HierarchicalConfig on = segmented(4);
+    ASSERT_FALSE(engine::portfolio_is_exact(instance, on.portfolio));
     const Cost cost_off = solve_hierarchical(instance, off).solution.total();
-    const Cost cost_on = solve_hierarchical(instance, on).solution.total();
-    EXPECT_LE(cost_on, cost_off) << "seed " << seed;
+    const auto repaired = solve_hierarchical(instance, on);
+    EXPECT_LE(repaired.solution.total(), cost_off) << "seed " << seed;
+    merges += repaired.seam_merges;
   }
+  EXPECT_GT(merges, 0u) << "repair must actually merge somewhere";
 }
 
 TEST(Hierarchical, BoundaryDpPlacesMandatoryGlobalBoundary) {
@@ -174,9 +191,10 @@ TEST(Hierarchical, ChangeoverIsRejected) {
 TEST(Hierarchical, SharedCacheServesRepeatedSegmentShapes) {
   const auto trace = constant_trace(16);
   const MachineSpec machine = MachineSpec::local_only({3, 3});
-  const SolveInstance instance(trace, machine);
+  const SolveInstance instance(trace, machine, kSegmentedOptions);
   HierarchicalConfig config = segmented(4);
   config.cache = std::make_shared<cache::SolveCache>();
+  ASSERT_FALSE(engine::portfolio_is_exact(instance, config.portfolio));
   const auto first = solve_hierarchical(instance, config);
   EXPECT_EQ(first.segments, 4u);
   EXPECT_GE(first.cache_hits, 3u) << "all four windows are identical";
@@ -188,8 +206,9 @@ TEST(Hierarchical, SharedCacheServesRepeatedSegmentShapes) {
 TEST(Hierarchical, ParallelMatchesSerial) {
   const auto trace = testutil::phased_multi(21, 3, 40, 6);
   const MachineSpec machine = MachineSpec::local_only({6, 6, 6});
-  const SolveInstance instance(trace, machine);
+  const SolveInstance instance(trace, machine, kSegmentedOptions);
   const HierarchicalConfig config = segmented(8);
+  ASSERT_FALSE(engine::portfolio_is_exact(instance, config.portfolio));
   // Submitted from a worker of the global pool, the solve takes the
   // on-worker serial fallback; from this thread it fans out over the pool.
   const auto a =
@@ -204,6 +223,61 @@ TEST(Hierarchical, ParallelMatchesSerial) {
     EXPECT_EQ(a.solution.schedule.tasks[j].starts(),
               b.solution.schedule.tasks[j].starts());
   }
+}
+
+TEST(Hierarchical, ExactInstanceIsSolvedFlatAtAnyLength) {
+  // In the aligned DP's exact class (par/seq upload, equal v_j, local-only
+  // machine) a trace four segments long still comes back as one window:
+  // the aligned DP's optimum, certified by itself.
+  const auto trace = testutil::phased_multi(7, 2, 24, 6);
+  const MachineSpec machine = MachineSpec::local_only({6, 6});
+  const SolveInstance instance(trace, machine);
+  const HierarchicalConfig config = segmented(6);
+  ASSERT_TRUE(engine::portfolio_is_exact(instance, config.portfolio));
+  const auto result = solve_hierarchical(instance, config);
+  EXPECT_EQ(result.segments, 1u);
+  EXPECT_EQ(result.seam_merges, 0u);
+
+  const MTSolution optimum = solve_aligned_dp(instance);
+  EXPECT_EQ(result.solution.total(), optimum.total());
+  ASSERT_EQ(result.solution.schedule.tasks.size(),
+            optimum.schedule.tasks.size());
+  for (std::size_t j = 0; j < optimum.schedule.tasks.size(); ++j) {
+    EXPECT_EQ(result.solution.schedule.tasks[j].starts(),
+              optimum.schedule.tasks[j].starts());
+  }
+  EXPECT_EQ(result.solution.schedule.global_boundaries,
+            optimum.schedule.global_boundaries);
+  ASSERT_TRUE(result.solution.lower_bound.has_value());
+  EXPECT_EQ(*result.solution.lower_bound, result.solution.total());
+  ASSERT_TRUE(result.solution.gap_pct.has_value());
+  EXPECT_EQ(*result.solution.gap_pct, 0.0);
+
+  // A line-up without aligned-dp segments the same instance and cannot
+  // beat the optimum.
+  HierarchicalConfig racing = segmented(6);
+  racing.portfolio.solvers = {"coord-descent"};
+  ASSERT_FALSE(engine::portfolio_is_exact(instance, racing.portfolio));
+  const auto segmented_result = solve_hierarchical(instance, racing);
+  EXPECT_EQ(segmented_result.segments, 4u);
+  EXPECT_LE(result.solution.total(), segmented_result.solution.total());
+}
+
+TEST(Hierarchical, ExactFlatSolveGoesThroughTheCache) {
+  const auto trace = testutil::phased_multi(5, 2, 24, 6);
+  const MachineSpec machine = MachineSpec::local_only({6, 6});
+  const SolveInstance instance(trace, machine);
+  HierarchicalConfig config = segmented(6);
+  config.cache = std::make_shared<cache::SolveCache>();
+  ASSERT_TRUE(engine::portfolio_is_exact(instance, config.portfolio));
+  const auto first = solve_hierarchical(instance, config);
+  EXPECT_EQ(first.segments, 1u);
+  EXPECT_EQ(first.cache_hits, 0u);
+  const auto second = solve_hierarchical(instance, config);
+  EXPECT_EQ(second.segments, 1u);
+  EXPECT_EQ(second.cache_hits, 1u);
+  EXPECT_EQ(second.solution.total(), first.solution.total());
+  EXPECT_EQ(second.solution.lower_bound, second.solution.total());
 }
 
 }  // namespace

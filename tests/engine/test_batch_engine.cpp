@@ -6,6 +6,8 @@
 #include <numeric>
 #include <thread>
 
+#include "cache/solve_cache.hpp"
+#include "core/hierarchical.hpp"
 #include "testutil/workload_instances.hpp"
 
 namespace hyperrec::engine {
@@ -92,6 +94,34 @@ TEST(BatchEngine, CustomSolverReplacesThePortfolio) {
     ASSERT_TRUE(job.ok) << job.error;
     EXPECT_EQ(job.winner, "custom");
     EXPECT_TRUE(job.entries.empty());
+  }
+}
+
+TEST(BatchEngine, HierarchicalSolverCanGoFlatThroughTheEngineCache) {
+  // The CLI's --hierarchical --cache-capacity wiring: the engine caches each
+  // job under its instance key, and the solver, going flat on an in-class
+  // instance, asks the same cache for that key inside the engine's compute.
+  // The nested request must not wait on its own flight.
+  std::vector<BatchJob> jobs = small_batch();
+  jobs.push_back(jobs.front());  // a duplicate hits or coalesces
+  BatchEngineConfig config;
+  config.parallelism = 2;
+  config.cache = std::make_shared<cache::SolveCache>();
+  config.solver = [cache = config.cache](const BatchJob& job,
+                                         const CancelToken& token) {
+    const SolveInstance instance(job.trace, job.machine, job.options);
+    HierarchicalConfig hier;
+    hier.segment = 4;
+    hier.cache = cache;
+    hier.cancel = token;
+    return solve_hierarchical(instance, hier).solution;
+  };
+  const BatchEngine engine_instance(std::move(config));
+  const BatchResult result = engine_instance.solve(jobs);
+  ASSERT_EQ(result.jobs.size(), jobs.size());
+  for (const JobResult& job : result.jobs) {
+    ASSERT_TRUE(job.ok) << job.error;
+    EXPECT_EQ(job.solution.lower_bound, job.solution.total()) << job.name;
   }
 }
 

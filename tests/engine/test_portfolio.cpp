@@ -235,6 +235,62 @@ TEST(Portfolio, ExactClassCertificateIsTheOptimumItself) {
   EXPECT_EQ(*race.best.lower_bound, compute_lower_bound(raced).bound);
 }
 
+TEST(Portfolio, IsExactNeedsAlignedDpAsARegistryMember) {
+  const WorkloadInstance workload = small_instance();
+  const SolveInstance instance(workload.trace, workload.machine);
+  PortfolioConfig config;
+  EXPECT_TRUE(portfolio_is_exact(instance, config)) << "empty = whole line-up";
+  config.solvers = {"greedy-w8", "aligned-dp"};
+  EXPECT_TRUE(portfolio_is_exact(instance, config));
+  config.solvers = {"greedy-w8", "coord-descent"};
+  EXPECT_FALSE(portfolio_is_exact(instance, config));
+  // The aligned solver as an `extra` member does not qualify, so the
+  // line-up really races.
+  config.extra.push_back(NamedSolver{
+      "aligned-dp", [](const SolveInstance& raced, const CancelToken&) {
+        return solve_aligned_dp(raced);
+      }});
+  EXPECT_FALSE(portfolio_is_exact(instance, config));
+  const PortfolioResult result = solve_portfolio(instance, config);
+  expect_no_exact_skip(result);
+  for (const PortfolioEntry& entry : result.entries) {
+    EXPECT_TRUE(entry.ok) << entry.solver << ": " << entry.error;
+  }
+}
+
+TEST(Portfolio, IsExactFalseForEachExcludedCondition) {
+  const WorkloadInstance workload = small_instance();
+  const PortfolioConfig config;  // whole line-up, aligned-dp included
+  ASSERT_TRUE(portfolio_is_exact(
+      SolveInstance(workload.trace, workload.machine), config));
+
+  EvalOptions sequential_hyper;
+  sequential_hyper.hyper_upload = UploadMode::kTaskSequential;
+  EXPECT_FALSE(portfolio_is_exact(
+      SolveInstance(workload.trace, workload.machine, sequential_hyper),
+      config))
+      << "task-sequential hyper upload";
+
+  MachineSpec unequal = workload.machine;
+  unequal.tasks[0].local_init += 1;
+  EXPECT_FALSE(portfolio_is_exact(SolveInstance(workload.trace, unequal),
+                                  config))
+      << "unequal v_j";
+
+  MachineSpec global = workload.machine;
+  global.public_context_size = 2;
+  global.global_init = 3;
+  EXPECT_FALSE(portfolio_is_exact(SolveInstance(workload.trace, global),
+                                  config))
+      << "global resources";
+
+  EvalOptions changeover;
+  changeover.changeover = true;
+  EXPECT_FALSE(portfolio_is_exact(
+      SolveInstance(workload.trace, workload.machine, changeover), config))
+      << "changeover";
+}
+
 TEST(Portfolio, WarmStartIsReportedOnlyWhenAMemberReadsIt) {
   const auto warm_for = [](const WorkloadInstance& workload) {
     return MultiTaskSchedule::all_single(workload.trace.task_count(),

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "model/instance.hpp"
+#include "support/cost_math.hpp"
 #include "testutil/reference_eval.hpp"
 #include "testutil/trace_builders.hpp"
 
@@ -211,6 +214,33 @@ TEST(FullySyncSwitch, PrivateDemandAddsToReconfigAndChecksPool) {
   EXPECT_THROW(
       (void)evaluate_fully_sync_switch(trace, machine, schedule, options),
       PreconditionError);
+}
+
+TEST(FullySyncSwitch, TotalsSaturateInsteadOfWrapping) {
+  // Both tasks hyperreconfigure at steps 0 and 1 under task-sequential
+  // upload, each at v = max − 1000: plain sums would wrap to a negative
+  // total, so they saturate at the sentinel, as the DPs do.
+  const auto trace = small_trace();
+  MachineSpec machine = small_machine();
+  for (TaskSpec& task : machine.tasks) {
+    task.local_init = std::numeric_limits<Cost>::max() - 1000;
+  }
+  MultiTaskSchedule schedule;
+  schedule.tasks.assign(2, Partition::from_starts({0, 1}, 3));
+  const EvalOptions options{UploadMode::kTaskSequential,
+                            UploadMode::kTaskSequential, false};
+  const auto breakdown =
+      evaluate_fully_sync_switch(trace, machine, schedule, options);
+  EXPECT_EQ(breakdown.hyper, kCostInfinity);
+  EXPECT_EQ(breakdown.total, kCostInfinity);
+  EXPECT_EQ(
+      evaluate_fully_sync_switch(SolveInstance(trace, machine, options),
+                                 schedule)
+          .total,
+      kCostInfinity);
+  // The reconfiguration sum stays exact: t0 {s0} then {s1}, t1 {s2,s3}
+  // twice → 1 + 2 at step 0, 1 + 2 at each of steps 1 and 2.
+  EXPECT_EQ(breakdown.reconfig, 9);
 }
 
 TEST(NoHyperBaseline, IsStepsTimesTotalSwitches) {

@@ -27,9 +27,13 @@ CI runs a 60-second slice; the ctest `fuzz` label runs the harness's own
 
 import argparse
 import pathlib
+import re
 import subprocess
 import sys
 import time
+
+# The --hierarchical summary's "(F flat, E exact, S segmented; ...)" counts.
+TALLY = re.compile(r"\((\d+) flat, (\d+) exact, (\d+) segmented;")
 
 
 def main() -> int:
@@ -65,6 +69,7 @@ def main() -> int:
     seed = args.seed
     chunks = 0
     iterations = 0
+    tally = None  # flat, exact, segmented over every chunk
     while time.monotonic() < deadline:
         command = [str(binary), f"--seed={seed}", f"--iters={args.chunk}"]
         if args.mux:
@@ -87,9 +92,17 @@ def main() -> int:
         chunks += 1
         iterations += args.chunk
         seed += args.chunk
+        match = TALLY.search(proc.stdout)
+        if match:
+            counts = [int(group) for group in match.groups()]
+            tally = counts if tally is None else [
+                a + b for a, b in zip(tally, counts)]
 
     print(f"fuzz_solvers: {iterations} iterations in {chunks} chunks "
           f"(seeds {args.seed}..{seed - 1}), no disagreements")
+    if tally is not None:
+        print(f"fuzz_solvers: {tally[0]} flat ({tally[1]} exact), "
+              f"{tally[2]} segmented")
     return 0
 
 
