@@ -45,8 +45,10 @@
 //     --hierarchical   solve each job with the hierarchical segment-parallel
 //                      solver (core/hierarchical.hpp) instead of a flat
 //                      portfolio race; each job's solution carries a
-//                      certified lower_bound / gap_pct, and with
-//                      --cache-capacity the segment solves share the cache.
+//                      certified lower_bound / gap_pct (jobs the portfolio
+//                      solves exactly come back flat with a 0% gap), and
+//                      with --cache-capacity the window solves share the
+//                      cache.
 //                      Offline only (incompatible with --stream/--streams)
 //     --segment=N      hierarchical segment length in steps (default 512;
 //                      needs --hierarchical)
