@@ -5,13 +5,18 @@
 #include <vector>
 
 #include "core/interval_dp.hpp"
+#include "model/cost_switch.hpp"
+#include "support/cost_math.hpp"
 
 namespace hyperrec {
 
 namespace {
 
-Cost combine(UploadMode mode, Cost acc, Cost value) {
-  return mode == UploadMode::kTaskParallel ? std::max(acc, value) : acc + value;
+/// Σ of [first, last), saturating at kCostInfinity like the costs it bounds:
+/// a near-maximum v_j must not wrap the bound above the cost.
+template <typename It>
+Cost saturating_sum(It first, It last) {
+  return std::accumulate(first, last, Cost{0}, cost_add);
 }
 
 /// Per-step context size |req_j(l)| + d_j(l): whatever interval serves step
@@ -39,10 +44,10 @@ Cost task_dp_bound(const TaskTrace& task, const std::vector<Cost>& sizes,
     const std::size_t hi = std::min(n, lo + chunk);
     Cost dp = single_task_switch_cost(task, lo, hi, hyper_init);
     if (lo > 0) dp -= hyper_init;
-    const Cost per_step = std::accumulate(
-        sizes.begin() + static_cast<std::ptrdiff_t>(lo),
-        sizes.begin() + static_cast<std::ptrdiff_t>(hi), Cost{0});
-    bound += std::max(dp, per_step);
+    const Cost per_step =
+        saturating_sum(sizes.begin() + static_cast<std::ptrdiff_t>(lo),
+                       sizes.begin() + static_cast<std::ptrdiff_t>(hi));
+    bound = cost_add(bound, std::max(dp, per_step));
   }
   return bound;
 }
@@ -79,9 +84,10 @@ LowerBoundCertificate compute_lower_bound(const SolveInstance& instance,
     const TaskTrace& task = trace.task(j);
     for (std::size_t l = 0; l < n; ++l) {
       sizes[l] = step_size(task, l);
-      step_term[l] = combine(options.reconfig_upload, step_term[l], sizes[l]);
+      step_term[l] =
+          detail::combine(options.reconfig_upload, step_term[l], sizes[l]);
     }
-    step_sum[j] = std::accumulate(sizes.begin(), sizes.end(), Cost{0});
+    step_sum[j] = saturating_sum(sizes.begin(), sizes.end());
     dp_bound[j] =
         task_dp_bound(task, sizes, machine.tasks[j].local_init, chunk);
   }
@@ -90,24 +96,27 @@ LowerBoundCertificate compute_lower_bound(const SolveInstance& instance,
   // task (under changeover the charge is local_init + |h Δ ∅| ≥ local_init,
   // so using local_init stays sound).
   const Cost per_step_total =
-      std::accumulate(step_term.begin(), step_term.end(), Cost{0});
+      saturating_sum(step_term.begin(), step_term.end());
   Cost first_hyper = 0;
   for (std::size_t j = 0; j < m; ++j) {
-    first_hyper = combine(options.hyper_upload, first_hyper,
-                          machine.tasks[j].local_init);
+    first_hyper = detail::combine(options.hyper_upload, first_hyper,
+                                  machine.tasks[j].local_init);
   }
-  cert.per_step_bound = per_step_total + first_hyper + global_term;
+  cert.per_step_bound =
+      cost_add(cost_add(per_step_total, first_hyper), global_term);
 
   // 2. Interval-union relaxation.  The exact single-task DP lower-bounds
   // each task's share (forced boundaries from the multi-task schedule only
   // cost more); how the per-task bounds add up depends on the upload modes.
-  const Cost pub_total = static_cast<Cost>(n) * pub;
+  const Cost pub_total = cost_mul(static_cast<Cost>(n), pub);
   Cost relax = 0;
   if (options.reconfig_upload == UploadMode::kTaskSequential) {
     if (options.hyper_upload == UploadMode::kTaskSequential) {
       // Both terms add across tasks: every task pays its full DP bound.
       relax = pub_total;
-      for (std::size_t j = 0; j < m; ++j) relax += dp_bound[j];
+      for (std::size_t j = 0; j < m; ++j) {
+        relax = cost_add(relax, dp_bound[j]);
+      }
     } else {
       // Hyper is a per-step max, so only one task's hyperreconfigurations
       // are guaranteed charged: credit every task's per-step floor plus the
@@ -115,10 +124,10 @@ LowerBoundCertificate compute_lower_bound(const SolveInstance& instance,
       relax = pub_total;
       Cost surplus = 0;
       for (std::size_t j = 0; j < m; ++j) {
-        relax += step_sum[j];
+        relax = cost_add(relax, step_sum[j]);
         surplus = std::max(surplus, dp_bound[j] - step_sum[j]);
       }
-      relax += surplus;
+      relax = cost_add(relax, surplus);
     }
   } else {
     // Per-step reconfig max: the best single task's DP bound, or the public
@@ -127,9 +136,9 @@ LowerBoundCertificate compute_lower_bound(const SolveInstance& instance,
     for (std::size_t j = 0; j < m; ++j) {
       best_task = std::max(best_task, dp_bound[j]);
     }
-    relax = std::max(best_task, pub_total + first_hyper);
+    relax = std::max(best_task, cost_add(pub_total, first_hyper));
   }
-  cert.dp_relaxation_bound = relax + global_term;
+  cert.dp_relaxation_bound = cost_add(relax, global_term);
 
   cert.bound = std::max(cert.per_step_bound, cert.dp_relaxation_bound);
   return cert;

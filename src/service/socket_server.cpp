@@ -117,6 +117,10 @@ void SocketServer::accept_loop(int listen_fd) {
 void SocketServer::serve_connection(int fd) {
   t_connection_thread = true;
   std::string buffer;
+  // buffer[0, scanned) holds no '\n': each received byte is searched once,
+  // so a newline-free line costs linear, not quadratic, scanning up to the
+  // cap.
+  std::size_t scanned = 0;
   char chunk[4096];
   bool stop_requested = false;
   while (!stop_requested) {
@@ -126,10 +130,11 @@ void SocketServer::serve_connection(int fd) {
       break;  // peer closed or connection shut down by stop()
     }
     buffer.append(chunk, static_cast<std::size_t>(n));
+    std::size_t start = 0;  // first byte of the next line
     std::size_t newline = 0;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
+    while ((newline = buffer.find('\n', scanned)) != std::string::npos) {
+      std::string line = buffer.substr(start, newline - start);
+      start = scanned = newline + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       LineResponse response = handler_(line);
@@ -143,6 +148,9 @@ void SocketServer::serve_connection(int fd) {
         break;
       }
     }
+    buffer.erase(0, start);
+    // After a break the unanswered lines are searched again from the start.
+    scanned = newline == std::string::npos ? buffer.size() : 0;
     if (buffer.size() > kMaxLineBytes) break;  // oversized line: drop peer
   }
   ::shutdown(fd, SHUT_RDWR);

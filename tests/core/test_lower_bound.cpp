@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/interval_dp.hpp"
 #include "core/solver.hpp"
+#include "support/cost_math.hpp"
 #include "testutil/oracles.hpp"
 #include "testutil/trace_builders.hpp"
 #include "testutil/workload_instances.hpp"
@@ -92,6 +96,39 @@ TEST(LowerBound, GlobalResourcesAddExactlyOneGlobalInit) {
   const SolveInstance instance_without(trace, without);
   EXPECT_EQ(compute_lower_bound(instance_with).bound,
             compute_lower_bound(instance_without).bound + 7);
+}
+
+TEST(LowerBound, NearMaximumInitCostSaturatesInsteadOfWrapping) {
+  // v_j = max − 1000: the single-interval schedule's total saturates at
+  // kCostInfinity, so every sum in the bound must saturate too.  Plain sums
+  // wrapped the per-step bound negative and certified a bound above the
+  // cost it bounds.
+  for (const std::size_t m : {2, 3}) {
+    Xoshiro256 rng(m);
+    const auto trace = testutil::random_multi_trace(rng, m, 6, 4);
+    MachineSpec machine =
+        MachineSpec::local_only(std::vector<std::size_t>(m, 4));
+    for (TaskSpec& task : machine.tasks) {
+      task.local_init = std::numeric_limits<Cost>::max() - 1000;
+    }
+    for (const EvalOptions& options : kModeGrid) {
+      const SolveInstance instance(trace, machine, options);
+      const Cost total =
+          make_solution(instance, MultiTaskSchedule::all_single(m, 6)).total();
+      ASSERT_EQ(total, kCostInfinity);
+      const auto cert = compute_lower_bound(instance);
+      const std::string where =
+          std::to_string(m) + " tasks, hyper " +
+          std::to_string(static_cast<int>(options.hyper_upload)) +
+          " reconfig " +
+          std::to_string(static_cast<int>(options.reconfig_upload));
+      EXPECT_LE(cert.bound, total) << where;
+      EXPECT_GE(cert.per_step_bound, 0) << where;
+      EXPECT_LE(cert.per_step_bound, total) << where;
+      EXPECT_GE(cert.dp_relaxation_bound, 0) << where;
+      EXPECT_LE(cert.dp_relaxation_bound, total) << where;
+    }
+  }
 }
 
 TEST(LowerBound, GapArithmetic) {

@@ -158,6 +158,26 @@ TEST(Protocol, MalformedRequestsThrowNamingTheProblem) {
       {R"({"op":"stream_append","stream":0,"step":[{}]})", "bits"},
       {R"({"op":"solve","job":{"workload":"phased"},"op":"statz"})",
        "duplicate"},  // duplicate keys are a parse error, not last-wins
+      // ... at every object level, read or not.
+      {R"({"op":"solve","job":{"workload":"phased","seed":1,"seed":2}})",
+       "duplicate"},
+      {R"({"op":"solve","job":{"trace":{"universes":[4],)"
+       R"("steps":[[{"bits":[0],"bits":[1]}]]}}})",
+       "duplicate"},
+      {R"({"op":"statz","extra":{"a":1,"b":{"c":0,"c":0}}})", "duplicate"},
+      // Unknown members are validated before they are ignored.
+      {R"({"op":"statz","extra":[1,]})", "JSON"},
+      // RFC 8259 numbers: no leading zeros.
+      {R"({"op":"solve","priority":007,"job":{"workload":"phased"}})",
+       "leading zero"},
+      {R"({"op":"solve","job":{"workload":"phased","tasks":02}})",
+       "leading zero"},
+      {R"({"op":"stream_append","stream":0,"step":[{"bits":[-01]}]})",
+       "leading zero"},
+      // Malformed JSON after a content problem still reads as malformed.
+      {R"({"op":"solve","job":{"trace":{"universes":[4],)"
+       R"("steps":[[{"bits":[9]}]]}}} trailing)",
+       "trailing content"},
   };
   for (const auto& [line, expected] : cases) {
     try {
@@ -168,6 +188,65 @@ TEST(Protocol, MalformedRequestsThrowNamingTheProblem) {
           << "message for `" << line << "` was: " << error.what();
     }
   }
+}
+
+TEST(Protocol, MemberOrderIsFreeAndUnknownMembersAreIgnored) {
+  const Request canonical = parse_request(
+      R"({"op":"solve","id":"r","job":{"name":"t","trace":{)"
+      R"("universes":[4,3],)"
+      R"("steps":[[{"bits":[0,2]},{"bits":[1],"demand":2}],)"
+      R"(         [{"bits":[3]},{"bits":[0]}]]}}})");
+  // Steps before universes, demand before bits, op last, and unknown
+  // members (nested, at every level) that are read and dropped.
+  const Request shuffled = parse_request(
+      R"({"extra":{"deep":[1,{"x":null}]},"job":{"trace":{"steps":)"
+      R"([[{"bits":[0,2],"note":"n"},{"demand":2,"bits":[1]}],)"
+      R"( [{"bits":[3]},{"bits":[0]}]],"universes":[4,3],"v":true},)"
+      R"("name":"t","w":-1.5e3},"id":"r","op":"solve"})");
+  ASSERT_TRUE(canonical.job.inline_trace.has_value());
+  ASSERT_TRUE(shuffled.job.inline_trace.has_value());
+  const MultiTaskTrace& want = *canonical.job.inline_trace;
+  const MultiTaskTrace& got = *shuffled.job.inline_trace;
+  ASSERT_EQ(got.task_count(), want.task_count());
+  ASSERT_EQ(got.steps(), want.steps());
+  for (std::size_t j = 0; j < want.task_count(); ++j) {
+    EXPECT_EQ(got.task(j).local_universe(), want.task(j).local_universe());
+    for (std::size_t t = 0; t < want.steps(); ++t) {
+      EXPECT_EQ(got.task(j).at(t).local, want.task(j).at(t).local);
+      EXPECT_EQ(got.task(j).at(t).private_demand,
+                want.task(j).at(t).private_demand);
+    }
+  }
+  EXPECT_EQ(shuffled.job.inline_universes, canonical.job.inline_universes);
+  EXPECT_EQ(shuffled.job.name, "t");
+  EXPECT_EQ(shuffled.id, "r");
+
+  // Steps that arrive before their universes are still range-checked.
+  try {
+    (void)parse_request(
+        R"({"op":"solve","job":{"trace":{"steps":[[{"bits":[4]}]],)"
+        R"("universes":[4]}}})");
+    FAIL() << "bit 4 of a 4-switch task was accepted";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find("outside"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Protocol, NumbersFollowRfc8259) {
+  for (const char* bad : {"[01]", "[00]", "[-01]", "[-00]", "[007]",
+                          "[01.5]", "[-]", "[1.]", "[.5]", "[1e]"}) {
+    EXPECT_THROW((void)parse_json(bad), PreconditionError) << bad;
+  }
+  EXPECT_EQ(parse_json("[0]").as_array()[0].as_int(), 0);
+  EXPECT_EQ(parse_json("[-0]").as_array()[0].as_int(), 0);
+  EXPECT_EQ(parse_json("[10]").as_array()[0].as_int(), 10);
+  EXPECT_DOUBLE_EQ(parse_json("[0.5]").as_array()[0].as_double(), 0.5);
+  EXPECT_DOUBLE_EQ(parse_json("[0e2]").as_array()[0].as_double(), 0.0);
+  EXPECT_DOUBLE_EQ(parse_json("[-0.25E+1]").as_array()[0].as_double(), -2.5);
+  // Integers past int64 read as doubles, as before.
+  EXPECT_EQ(parse_json("[9223372036854775808]").as_array()[0].kind(),
+            JsonValue::Kind::kDouble);
 }
 
 TEST(Protocol, DeeplyNestedJsonIsRejectedNotAStackOverflow) {

@@ -3,7 +3,8 @@
 // regression targets for the guarded-field sweep — stop() draining the
 // per-connection counter before reclaiming the listener, and the accept
 // loop working off a by-value fd snapshot so no unlocked read of the
-// guarded listen_fd_ member exists.
+// guarded listen_fd_ member exists.  Framing: lines split across writes,
+// several lines in one write, CRLF endings, and the 8 MiB line cap.
 #include "service/socket_server.hpp"
 
 #include <sys/socket.h>
@@ -210,6 +211,92 @@ TEST(SocketServer, AcceptsNewConnectionsWhileOthersAreParked) {
   }
   server.stop();
   EXPECT_FALSE(parked.recv_line(&reply)) << "stop() shut the parked fd";
+}
+
+TEST(SocketServer, LineDeliveredOneByteAtATimeIsAnsweredOnce) {
+  const std::string path = test_socket_path("bytewise");
+  std::atomic<int> handled{0};
+  SocketServer server(path, [&](const std::string& line) {
+    handled.fetch_add(1, std::memory_order_relaxed);
+    return SocketServer::LineResponse{"echo:" + line, false};
+  });
+
+  LineClient client(path);
+  ASSERT_TRUE(client.connected());
+  for (const char c : std::string("split-across-writes\n")) {
+    ASSERT_TRUE(client.send_raw(std::string(1, c)));
+  }
+  std::string reply;
+  ASSERT_TRUE(client.recv_line(&reply));
+  EXPECT_EQ(reply, "echo:split-across-writes");
+  EXPECT_EQ(handled.load(), 1);
+  server.stop();
+}
+
+TEST(SocketServer, SeveralLinesInOneWriteAreAnsweredInOrder) {
+  const std::string path = test_socket_path("batched");
+  SocketServer server(path, [](const std::string& line) {
+    return SocketServer::LineResponse{"echo:" + line, false};
+  });
+
+  LineClient client(path);
+  ASSERT_TRUE(client.connected());
+  // Three whole lines and the head of a fourth, then its tail.
+  ASSERT_TRUE(client.send_raw("a\nbb\nccc\nd"));
+  ASSERT_TRUE(client.send_raw("d\n"));
+  std::string reply;
+  for (const char* expected : {"echo:a", "echo:bb", "echo:ccc", "echo:dd"}) {
+    ASSERT_TRUE(client.recv_line(&reply));
+    EXPECT_EQ(reply, expected);
+  }
+  server.stop();
+}
+
+TEST(SocketServer, CrlfEndingsAreStripped) {
+  const std::string path = test_socket_path("crlf");
+  SocketServer server(path, [](const std::string& line) {
+    return SocketServer::LineResponse{"echo:" + line, false};
+  });
+
+  LineClient client(path);
+  ASSERT_TRUE(client.connected());
+  // The bare "\r\n" is an empty line: skipped, not answered.
+  ASSERT_TRUE(client.send_raw("first\r\n\r\nin\rside\r\n"));
+  std::string reply;
+  ASSERT_TRUE(client.recv_line(&reply));
+  EXPECT_EQ(reply, "echo:first");
+  ASSERT_TRUE(client.recv_line(&reply));
+  EXPECT_EQ(reply, "echo:in\rside") << "only the trailing '\\r' goes";
+  server.stop();
+}
+
+TEST(SocketServer, OversizedLineDropsOnlyThatPeer) {
+  // A newline-free stream past the transport's 8 MiB line cap closes that
+  // connection without a handler call; other connections keep being served.
+  const std::string path = test_socket_path("oversized");
+  std::atomic<int> handled{0};
+  SocketServer server(path, [&](const std::string& line) {
+    handled.fetch_add(1, std::memory_order_relaxed);
+    return SocketServer::LineResponse{"echo:" + line, false};
+  });
+
+  LineClient other(path);
+  ASSERT_TRUE(other.connected());
+  std::string reply;
+  ASSERT_TRUE(other.send_line("before"));
+  ASSERT_TRUE(other.recv_line(&reply));
+
+  LineClient hostile(path);
+  ASSERT_TRUE(hostile.connected());
+  // The send may fail part-way once the server hangs up; either is fine.
+  (void)hostile.send_raw(std::string((std::size_t{8} << 20) + 8192, 'x'));
+  EXPECT_FALSE(hostile.recv_line(&reply)) << "the oversized peer is dropped";
+
+  ASSERT_TRUE(other.send_line("after"));
+  ASSERT_TRUE(other.recv_line(&reply));
+  EXPECT_EQ(reply, "echo:after");
+  EXPECT_EQ(handled.load(), 2) << "the oversized line never reached the handler";
+  server.stop();
 }
 
 }  // namespace

@@ -6,7 +6,9 @@ Starts the daemon on a private Unix socket and walks the whole protocol:
   1. solve: four fresh-shape generated jobs; each daemon response must be
      bit-identical (modulo timing fields) to a one-shot hyperrec_cli solve
      of the same job — same rng derivation, same machine, same winner,
-     same schedule cost.
+     same schedule cost.  Then two inline traces, one with its "steps"
+     before its "universes": each is also written as a hyperrec-trace v1
+     file, and the daemon's answer must equal `hyperrec_cli --trace=FILE`.
   2. repeat round: the same four jobs again; /statz must show the shared
      cache serving them (hits >= 4) — the whole point of a daemon.
   3. quotas: a tenant with a one-request budget gets reject="rate" with a
@@ -24,6 +26,8 @@ Exits non-zero on the first failed check.
 import argparse
 import json
 import os
+import random
+import shutil
 import socket
 import subprocess
 import sys
@@ -97,6 +101,51 @@ def cli_reference_job(cli, shape):
     return doc["jobs"][0]
 
 
+def random_trace(seed, universes, steps):
+    """Rows of (sorted bit list, demand), one per task per step."""
+    rng = random.Random(seed)
+    return [[(sorted(rng.sample(range(u), rng.randint(0, u))),
+              rng.choice((0, 0, 1, 3))) for u in universes]
+            for _ in range(steps)]
+
+
+def write_trace_file(path, universes, rows):
+    """Writes rows as hyperrec-trace v1 (src/io/trace_io.hpp)."""
+    with open(path, "w") as out:
+        out.write(f"hyperrec-trace v1\n{len(universes)}\n{len(rows)}\n")
+        out.write(" ".join(str(u) for u in universes) + "\n")
+        for j, universe in enumerate(universes):
+            for row in rows:
+                bits, demand = row[j]
+                out.write("".join("1" if b in bits else "0"
+                                  for b in range(universe)))
+                out.write(f" {demand}\n")
+
+
+def inline_job(universes, rows, name, steps_first):
+    """The same trace as an inline job; member order is free on the wire."""
+    if steps_first:
+        steps = [[{"demand": demand, "bits": bits} for bits, demand in row]
+                 for row in rows]
+        trace = {"steps": steps, "universes": universes}
+    else:
+        steps = [[{"bits": bits, "demand": demand} for bits, demand in row]
+                 for row in rows]
+        trace = {"universes": universes, "steps": steps}
+    return {"trace": trace, "name": name}
+
+
+def cli_trace_job(cli, path):
+    """Solves a trace file one-shot through hyperrec_cli (the job's name is
+    the file path, so the daemon request carries the same name)."""
+    out = subprocess.run([cli, "--batch=1", "--certify", f"--trace={path}"],
+                         capture_output=True, text=True, timeout=300)
+    check(out.returncode == 0, f"hyperrec_cli failed: {out.stderr}")
+    doc = json.loads(out.stdout)
+    check(doc["job_count"] == 1, "CLI reference must solve exactly one job")
+    return doc["jobs"][0]
+
+
 def wait_for_socket(path, process, deadline=30.0):
     end = time.monotonic() + deadline
     while time.monotonic() < end:
@@ -123,6 +172,7 @@ def main():
 
     sock_path = args.socket or os.path.join(
         tempfile.mkdtemp(prefix="hyperrec-smoke-"), "serve.sock")
+    trace_dir = tempfile.mkdtemp(prefix="hyperrec-smoke-traces-")
 
     # --- 0. malformed flags are startup errors, never silent policy ------
     for bad in ("--tenant-quota=limited:0.5:1junk",
@@ -180,6 +230,27 @@ def main():
                   f"  daemon: {json.dumps(got, sort_keys=True)}\n"
                   f"  cli:    {json.dumps(want, sort_keys=True)}")
         print("serve_smoke: 4 fresh solves bit-identical to hyperrec_cli")
+
+        # Inline traces: the path serve_cold drives.  Equal universes keep
+        # them on the exact fast path, and their shapes are fresh too.
+        for seed, universes, steps, steps_first in (
+                (5, [5, 5], 7, False), (6, [6, 6, 6], 9, True)):
+            rows = random_trace(seed, universes, steps)
+            path = os.path.join(trace_dir, f"inline-{seed}.trace")
+            write_trace_file(path, universes, rows)
+            response = client.request(
+                {"op": "solve", "tenant": "acme", "id": f"inline-{seed}",
+                 "job": inline_job(universes, rows, path, steps_first)})
+            check(response.get("schema") == "hyperrec-batch-result",
+                  f"inline solve answered {response}")
+            got = strip_volatile(response["jobs"][0])
+            want = strip_volatile(cli_trace_job(args.cli, path))
+            check(got == want,
+                  f"daemon/CLI divergence for inline trace {path}:\n"
+                  f"  daemon: {json.dumps(got, sort_keys=True)}\n"
+                  f"  cli:    {json.dumps(want, sort_keys=True)}")
+        print("serve_smoke: 2 inline traces (one steps-first) bit-identical "
+              "to hyperrec_cli --trace")
 
         # --- 2. repeat round must be served by the shared cache ----------
         for shape in shapes:
@@ -284,6 +355,7 @@ def main():
                 daemon.wait(timeout=30)
             except subprocess.TimeoutExpired:
                 daemon.kill()
+        shutil.rmtree(trace_dir, ignore_errors=True)
         if os.path.exists(sock_path) and not args.socket:
             try:
                 os.unlink(sock_path)
