@@ -103,10 +103,11 @@ void read_members(JsonReader& reader,
   }
 }
 
-constexpr const char* kNotAnArray = "JSON value is not an array";
-
+/// What read_array found: the first problem ("" when none; "JSON value is
+/// not an array" when the value is no array) and the element count.
 struct ArrayRead {
-  std::string problem;  ///< the first element's problem, or kNotAnArray
+  bool is_array = true;
+  std::string problem;
   std::size_t count = 0;
 };
 
@@ -118,7 +119,8 @@ ArrayRead read_array(JsonReader& reader, Element&& element) {
   ArrayRead read;
   if (reader.peek() != JsonValue::Kind::kArray) {
     reader.skip();
-    read.problem = kNotAnArray;
+    read.is_array = false;
+    read.problem = "JSON value is not an array";
     return read;
   }
   reader.begin_array();
@@ -208,9 +210,7 @@ std::string read_row(JsonReader& reader, std::vector<TaskTrace>& tasks) {
     tasks[j].push_back(ContextRequirement{std::move(local), demand});
     return problem;
   });
-  if (row.problem == kNotAnArray || row.count == tasks.size()) {
-    return row.problem;
-  }
+  if (!row.is_array || row.count == tasks.size()) return row.problem;
   return "step must carry exactly one requirement per task";
 }
 

@@ -38,6 +38,12 @@
 //    "error":"..."}
 //
 // All strings are RFC 8259-escaped; every number is a decimal integer.
+//
+// Member order is free at every level (an inline trace's "steps" may come
+// before its "universes").  Unknown members are read in full — malformed
+// JSON anywhere rejects the line — and then ignored; duplicate keys are an
+// error.  parse_request reads a line in one pass (service/json.hpp): an
+// inline trace's bit indices go straight into bitsets, with no value tree.
 #pragma once
 
 #include <chrono>

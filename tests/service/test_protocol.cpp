@@ -152,6 +152,10 @@ TEST(Protocol, MalformedRequestsThrowNamingTheProblem) {
       {R"({"op":"solve","job":{"trace":{"universes":[4,4],)"
        R"("steps":[[{"bits":[0]}]]}}})",
        "per task"},
+      // The requirement count is checked before any requirement.
+      {R"({"op":"solve","job":{"trace":{"universes":[4,4],)"
+       R"("steps":[[{"bits":5},{"bits":[]},{"bits":[]}]]}}})",
+       "per task"},
       {R"({"op":"stream_open"})", "universes"},
       {R"({"op":"stream_append","stream":0})", "step"},
       {R"({"op":"stream_append","stream":0,"step":[]})", "non-empty"},

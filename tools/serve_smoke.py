@@ -172,7 +172,6 @@ def main():
 
     sock_path = args.socket or os.path.join(
         tempfile.mkdtemp(prefix="hyperrec-smoke-"), "serve.sock")
-    trace_dir = tempfile.mkdtemp(prefix="hyperrec-smoke-traces-")
 
     # --- 0. malformed flags are startup errors, never silent policy ------
     for bad in ("--tenant-quota=limited:0.5:1junk",
@@ -190,6 +189,7 @@ def main():
               f"got: {probe.stderr!r}")
     print("serve_smoke: malformed flags rejected loudly ok")
 
+    trace_dir = tempfile.mkdtemp(prefix="hyperrec-smoke-traces-")
     daemon = subprocess.Popen(
         [args.serve, f"--socket={sock_path}", "--workers=2",
          "--queue-capacity=32", "--cache-capacity=64",
