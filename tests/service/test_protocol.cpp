@@ -271,6 +271,21 @@ TEST(Protocol, DeeplyNestedJsonIsRejectedNotAStackOverflow) {
   for (int i = 0; i < 200; ++i) mixed += R"({"k":[)";
   EXPECT_THROW((void)parse_json(mixed), PreconditionError);
 
+  // parse_request counts the same levels, in members it skips and inside
+  // the bits it streams.
+  for (const std::string& line :
+       {R"({"op":"statz","x":)" + open + "}",
+        R"({"op":"solve","job":{"trace":{"universes":[4],"steps":[[{"bits":)" +
+            std::string(60, '[') + std::string(60, ']') + "}]]}}}"}) {
+    try {
+      (void)parse_request(line);
+      FAIL() << "no exception for deep nesting in a request";
+    } catch (const PreconditionError& error) {
+      EXPECT_NE(std::string(error.what()).find("nesting"), std::string::npos)
+          << "message was: " << error.what();
+    }
+  }
+
   // Sane depth stays parseable: 63 levels is comfortably within the limit.
   std::string sane(63, '[');
   sane += std::string(63, ']');
