@@ -41,10 +41,8 @@ TaskTrace phased_trace(std::size_t steps, std::size_t universe,
 void BM_SingleTaskDp(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const TaskTrace trace = phased_trace(n, 48, 7);
-  // Stats built once at the boundary (BM_InstanceBuild prices that step).
-  const TaskTraceStats stats(trace);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solve_single_task_switch(stats, 48).total);
+    benchmark::DoNotOptimize(solve_single_task_switch(trace, 48).total);
   }
   state.SetComplexityN(static_cast<benchmark::IterationCount>(n));
 }

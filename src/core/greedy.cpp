@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "support/cost_math.hpp"
+
 namespace hyperrec {
 
 MTSolution solve_greedy(const SolveInstance& instance,
@@ -44,7 +46,10 @@ MTSolution solve_greedy(const SolveInstance& instance,
               stats.local_union_count_with(current, l, window_end)) +
           static_cast<Cost>(std::max(current_priv, window_priv));
 
-      if (v + fresh_size * len < extended_size * len) {
+      // Saturating, as the DPs: a near-maximum v must not wrap negative
+      // and open an interval at every step.
+      if (cost_add(v, cost_mul(fresh_size, len)) <
+          cost_mul(extended_size, len)) {
         starts.push_back(l);
         current = stats.local_union(l, window_end);
         current_priv = window_priv;

@@ -9,6 +9,7 @@
 
 #include "cache/fingerprint.hpp"
 #include "core/segments.hpp"
+#include "support/cost_math.hpp"
 #include "support/thread_pool.hpp"
 
 namespace hyperrec {
@@ -199,12 +200,10 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
       // merge removes one).
       std::vector<std::size_t> at_seam(m);
       for (std::size_t j = 0; j < m; ++j) at_seam[j] = 1;
-      auto seam_hyper = [&]() {
+      auto seam_hyper_max = [&]() {
         Cost term = 0;
         for (std::size_t j = 0; j < m; ++j) {
-          if (!at_seam[j]) continue;
-          const Cost v = machine.tasks[j].local_init;
-          term = hyper_parallel ? std::max(term, v) : term + v;
+          if (at_seam[j]) term = std::max(term, machine.tasks[j].local_init);
         }
         return term;
       };
@@ -217,18 +216,25 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
         const std::size_t q =
             (it + 1 != starts.end()) ? *(it + 1) : n;
         const TaskTraceStats& stats = instance.task_stats(j);
+        // Each delta is computed so nothing wraps: interval costs saturate
+        // at kCostInfinity (max/4), so their difference stays in range.
         auto interval_cost = [&stats](std::size_t lo, std::size_t hi) {
-          return (static_cast<Cost>(stats.local_union_count(lo, hi)) +
-                  static_cast<Cost>(stats.max_private_demand(lo, hi))) *
-                 static_cast<Cost>(hi - lo);
+          return cost_mul(static_cast<Cost>(stats.local_union_count(lo, hi)) +
+                              static_cast<Cost>(stats.max_private_demand(lo, hi)),
+                          static_cast<Cost>(hi - lo));
         };
         const Cost reconfig_delta = interval_cost(p, q) -
                                     interval_cost(p, seam) -
                                     interval_cost(seam, q);
-        const Cost before_hyper = seam_hyper();
+        // Dropping task j's boundary takes exactly v_j off the seam's Σ
+        // under task-sequential hyper upload (−v_j, saturating); under
+        // task-parallel upload the seam's max may drop.
+        const Cost before_max = seam_hyper_max();
         at_seam[j] = 0;
-        const Cost hyper_delta = seam_hyper() - before_hyper;
-        if (reconfig_delta + hyper_delta < 0) {
+        const Cost hyper_delta =
+            hyper_parallel ? seam_hyper_max() - before_max
+                           : cost_mul(machine.tasks[j].local_init, -1);
+        if (cost_add(reconfig_delta, hyper_delta) < 0) {
           starts.erase(it);
           ++result.seam_merges;
         } else {

@@ -1,6 +1,5 @@
 #include "core/interval_dp.hpp"
 
-#include "model/trace_stats.hpp"
 #include "support/bitset_kernels.hpp"
 #include "support/cost_math.hpp"
 
@@ -99,15 +98,10 @@ void interval_dp(const TaskTrace& trace, std::size_t lo, std::size_t hi,
 
 SingleTaskSolution solve_single_task_switch(const TaskTrace& trace,
                                             Cost hyper_init) {
-  return solve_single_task_switch(TaskTraceStats(trace), hyper_init);
-}
-
-SingleTaskSolution solve_single_task_switch(const TaskTraceStats& stats,
-                                            Cost hyper_init) {
-  const std::size_t n = stats.steps();
+  const std::size_t n = trace.size();
   std::vector<Cost> best;
   std::vector<std::size_t> parent;
-  interval_dp(stats.trace(), 0, n, hyper_init, best, parent);
+  interval_dp(trace, 0, n, hyper_init, best, parent);
 
   std::vector<std::size_t> starts;
   for (std::size_t cursor = n; cursor != 0; cursor = parent[cursor]) {
@@ -116,10 +110,13 @@ SingleTaskSolution solve_single_task_switch(const TaskTraceStats& stats,
   std::reverse(starts.begin(), starts.end());
 
   SingleTaskSolution solution{Partition::from_starts(starts, n), best[n], {}};
-  // The stats back the reconstruction-time union queries.
+  // One pass over the steps: every step lies in exactly one interval.
+  solution.hypercontexts.reserve(solution.partition.interval_count());
   for (std::size_t k = 0; k < solution.partition.interval_count(); ++k) {
     const auto [lo, hi] = solution.partition.interval_bounds(k);
-    solution.hypercontexts.push_back(stats.local_union(lo, hi));
+    DynamicBitset hypercontext(trace.local_universe());
+    for (std::size_t i = lo; i < hi; ++i) hypercontext |= trace.at(i).local;
+    solution.hypercontexts.push_back(std::move(hypercontext));
   }
   return solution;
 }

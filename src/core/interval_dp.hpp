@@ -63,7 +63,6 @@
 #include "model/machine.hpp"
 #include "model/schedule.hpp"
 #include "model/trace.hpp"
-#include "model/trace_stats.hpp"
 #include "model/types.hpp"
 
 namespace hyperrec {
@@ -75,15 +74,9 @@ struct SingleTaskSolution {
   std::vector<DynamicBitset> hypercontexts;
 };
 
-/// Optimal partition under interval cost v + (|U| + maxpriv)·len.  The
-/// stats overload is the hot-path entry point: callers that solve the same
-/// trace repeatedly (benches, the async solver, portfolio members) build
-/// the TaskTraceStats once at the boundary and the solver queries its
-/// precomputed views for reconstruction.
-[[nodiscard]] SingleTaskSolution solve_single_task_switch(
-    const TaskTraceStats& stats, Cost hyper_init);
-
-/// Boundary convenience: builds a one-off stats view.
+/// Optimal partition under interval cost v + (|U| + maxpriv)·len.  The DP
+/// keeps its own running unions, so no stats tables are built; each chosen
+/// interval's hypercontext is the OR of its steps.
 [[nodiscard]] SingleTaskSolution solve_single_task_switch(
     const TaskTrace& trace, Cost hyper_init);
 

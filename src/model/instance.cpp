@@ -9,7 +9,6 @@ SolveInstance::SolveInstance(MultiTaskTrace trace, MachineSpec machine,
   data->machine = std::move(machine);
   data->options = options;
   data->machine.validate_trace(data->trace);
-  // Bind the stats to the trace only after it rests at its final address.
   data->stats = MultiTaskTraceStats(data->trace);
   data_ = std::move(data);
 }

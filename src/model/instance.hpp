@@ -14,15 +14,16 @@
 // Layering:
 //
 //   model (trace, machine, cost)        raw domain types
-//     └── SolveInstance                 validated triple + TraceStats views
+//     └── SolveInstance                 validated triple + TraceStats tables
 //           └── core solvers            MTSolution f(const SolveInstance&)
 //                 └── engine            portfolio race / batch sharding
 //                       └── cache, io   fingerprints, memoization, JSON
 //
-// The instance is move-only; its payload lives behind a unique_ptr so the
-// stats' internal pointers stay valid across moves.  Validation
-// (machine/trace shape) happens in the constructor, so a SolveInstance in
-// hand is always well-formed.
+// The instance is move-only.  The stats copy what they need from the trace
+// and keep no pointer into it; the payload stays behind a unique_ptr so the
+// references trace() and stats() hand out survive a move of the instance.
+// Validation (machine/trace shape) happens in the constructor, so a
+// SolveInstance in hand is always well-formed.
 #pragma once
 
 #include <memory>

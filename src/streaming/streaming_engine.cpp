@@ -13,13 +13,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::vector<std::size_t> machine_universes(const MachineSpec& machine) {
-  std::vector<std::size_t> universes;
-  universes.reserve(machine.task_count());
+/// A trace with one empty task per machine task.
+MultiTaskTrace empty_trace(const MachineSpec& machine) {
+  MultiTaskTrace trace;
   for (const TaskSpec& task : machine.tasks) {
-    universes.push_back(task.local_switches);
+    trace.add_task(TaskTrace(task.local_switches));
   }
-  return universes;
+  return trace;
 }
 
 /// Mixes the warm seed into a window cache key.  Deterministic solvers make
@@ -72,7 +72,8 @@ StreamingEngine::StreamingEngine(MachineSpec machine, EvalOptions options,
     : machine_(std::move(machine)),
       options_(options),
       config_(std::move(config)),
-      stats_(machine_universes(machine_)) {
+      trace_(empty_trace(machine_)),
+      stats_(trace_) {
   HYPERREC_ENSURE(machine_.task_count() > 0,
                   "streaming engine needs at least one task");
   HYPERREC_ENSURE(config_.window >= 1, "window must be at least 1");
@@ -107,7 +108,7 @@ std::optional<TriggerKind> StreamingEngine::ingest(
   // baseline would let an idle gap before the first steps count as "time
   // since the last solve" and fire kDeadlineTick although nothing was ever
   // solved.
-  if (stats_.steps() == 0) last_solve_ = Clock::now();
+  if (trace_.steps() == 0) last_solve_ = Clock::now();
 
   // Rent-or-buy controllers see every step (their waste accounting is
   // stateful), whether or not their verdict ends up being the trigger.
@@ -118,9 +119,10 @@ std::optional<TriggerKind> StreamingEngine::ingest(
     }
   }
 
-  stats_.append_step(std::move(step));
+  stats_.append_step(step);
+  trace_.append_step(std::move(step));
   ++pending_;
-  const std::size_t n = stats_.steps();
+  const std::size_t n = trace_.steps();
 
   if (n == 1) {
     // The first step must always produce a published schedule.
@@ -141,7 +143,7 @@ std::optional<TriggerKind> StreamingEngine::ingest(
   // the block's Σ_j max demand now overflows the pool the §4.2 evaluator
   // would reject the schedule.  Re-solving forces a global boundary at the
   // splice seam, sealing the overflowing block off.  O(tasks) per step via
-  // the incremental range maxima.
+  // the appended range maxima.
   if (machine_.private_global_units > 0 && !published_.tasks.empty()) {
     const std::size_t block_lo = published_.global_boundaries.empty()
                                      ? 0
@@ -186,7 +188,7 @@ bool StreamingEngine::append_step(std::vector<ContextRequirement> step) {
 }
 
 bool StreamingEngine::flush() {
-  if (pending_ == 0 || stats_.steps() == 0) return false;
+  if (pending_ == 0 || trace_.steps() == 0) return false;
   resolve_window(TriggerKind::kFlush, config_.cancel);
   return true;
 }
@@ -204,7 +206,7 @@ std::optional<TriggerKind> StreamingEngine::request_flush() {
   HYPERREC_ENSURE(!pending_trigger_.has_value(),
                   "request_flush with a trigger already pending — "
                   "the driver must resolve_pending() first");
-  if (pending_ == 0 || stats_.steps() == 0) return std::nullopt;
+  if (pending_ == 0 || trace_.steps() == 0) return std::nullopt;
   pending_trigger_ = TriggerKind::kFlush;
   return pending_trigger_;
 }
@@ -236,7 +238,7 @@ MultiTaskSchedule StreamingEngine::warm_seed(std::size_t lo,
 
 void StreamingEngine::resolve_window(TriggerKind trigger,
                                      const CancelToken& cancel) {
-  const std::size_t hi = stats_.steps();
+  const std::size_t hi = trace_.steps();
   // No published schedule (a failed initial solve) means there is no stable
   // prefix to splice against — solve the whole trace in that case.
   const std::size_t lo = (published_.tasks.empty() || hi <= config_.window)
@@ -253,7 +255,7 @@ void StreamingEngine::resolve_window(TriggerKind trigger,
   try {
     HYPERREC_ENSURE(!cancel.cancelled(),
                     "stream cancelled before the window solve");
-    const SolveInstance instance(stats_.trace().slice(lo, hi), machine_,
+    const SolveInstance instance(trace_.slice(lo, hi), machine_,
                                  options_);
 
     engine::PortfolioConfig per_solve = config_.portfolio;
@@ -325,12 +327,11 @@ void StreamingEngine::resolve_window(TriggerKind trigger,
       report.splice_prefix_boundaries += static_cast<std::size_t>(
           std::lower_bound(starts.begin(), starts.end(), lo) - starts.begin());
     }
-    // Priced on the engine's own incremental tables — bit-identical to
+    // Priced on the engine's own appended tables — bit-identical to
     // evaluate_fully_sync_switch over the trace, which would build a second
     // set of tables over all n steps on every re-solve.
-    CostBreakdown full =
-        hyperrec::detail::evaluate_fully_sync(stats_, machine_, spliced,
-                                              options_);
+    CostBreakdown full = hyperrec::detail::evaluate_fully_sync(
+        trace_, stats_, machine_, spliced, options_);
     // Publish only after the spliced schedule validated and evaluated —
     // a throw above leaves the previous published schedule untouched.
     published_ = std::move(spliced);
@@ -348,7 +349,7 @@ void StreamingEngine::resolve_window(TriggerKind trigger,
 }
 
 MTSolution StreamingEngine::current_solution() const {
-  HYPERREC_ENSURE(stats_.steps() > 0, "no steps appended yet");
+  HYPERREC_ENSURE(trace_.steps() > 0, "no steps appended yet");
   HYPERREC_ENSURE(!published_.tasks.empty(),
                   "no published schedule (initial solve failed?)");
   MTSolution solution;
@@ -358,7 +359,8 @@ MTSolution StreamingEngine::current_solution() const {
   solution.breakdown = published_breakdown_.has_value()
                            ? *published_breakdown_
                            : hyperrec::detail::evaluate_fully_sync(
-                                 stats_, machine_, published_, options_);
+                                 trace_, stats_, machine_, published_,
+                                 options_);
   return solution;
 }
 

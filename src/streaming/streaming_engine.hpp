@@ -10,7 +10,8 @@
 // the win comes from *not* re-solving from scratch; this engine implements
 // that recipe on top of the existing stack:
 //
-//   trace grows ──► TraceBuilderStats (incremental tables, O(1) pre-checks)
+//   trace grows ──► MultiTaskTraceStats::append_step (one row per table
+//        │          level per step; O(1) pre-checks)
 //        │
 //        ├── triggers: step count / demand spike (O(1) range-max) /
 //        │             rent-or-buy policy (online/) / wall-clock tick
@@ -26,6 +27,11 @@
 //
 // Between re-solves an appended step simply extends every task's last
 // interval, so the published schedule always covers [0, steps()).
+//
+// The engine keeps its MultiTaskTrace and one MultiTaskTraceStats
+// (model/trace_stats.hpp) and appends each step to both: the triggers read
+// the tables, each window instance is a slice of the trace, and every
+// spliced schedule is priced on the tables without rebuilding them.
 #pragma once
 
 #include <chrono>
@@ -39,7 +45,6 @@
 #include "engine/portfolio.hpp"
 #include "model/instance.hpp"
 #include "online/rent_or_buy.hpp"
-#include "streaming/stream_stats.hpp"
 #include "support/cancel.hpp"
 
 namespace hyperrec::streaming {
@@ -62,7 +67,7 @@ struct TriggerConfig {
   std::size_t every_steps = 0;
   /// Re-solve when a fresh step's cross-task private-demand sum exceeds
   /// `spike_factor` x the maximum sum over the trailing `window` steps
-  /// before it (an O(1) range-max pre-check on the incremental stats).
+  /// before it (an O(1) range-max pre-check on the appended stats).
   /// The baseline tracks the *current* trailing window, not the last
   /// solved one — a frozen baseline goes stale after a quiet stretch and
   /// turns every post-lull demand step into a re-solve storm.  0 disables.
@@ -172,11 +177,11 @@ class StreamingEngine {
   /// per-job token to the engine-wide one) and clears the latch.
   void resolve_pending(const CancelToken& cancel);
 
-  [[nodiscard]] std::size_t steps() const noexcept { return stats_.steps(); }
-  [[nodiscard]] const MultiTaskTrace& trace() const noexcept {
-    return stats_.trace();
-  }
-  [[nodiscard]] const TraceBuilderStats& stats() const noexcept {
+  [[nodiscard]] std::size_t steps() const { return trace_.steps(); }
+  [[nodiscard]] const MultiTaskTrace& trace() const noexcept { return trace_; }
+  /// The interval tables over trace(), appended to with every step; equal
+  /// to MultiTaskTraceStats(trace()).
+  [[nodiscard]] const MultiTaskTraceStats& stats() const noexcept {
     return stats_;
   }
   [[nodiscard]] const MachineSpec& machine() const noexcept {
@@ -220,7 +225,8 @@ class StreamingEngine {
   EvalOptions options_;
   StreamingConfig config_;
 
-  TraceBuilderStats stats_;
+  MultiTaskTrace trace_;  ///< every step appended so far
+  MultiTaskTraceStats stats_;
   MultiTaskSchedule published_;  ///< covers [0, steps()) once non-empty
   /// Breakdown of published_ over the full trace, computed by the last
   /// successful re-solve; cleared by every append (the extended schedule

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "support/cost_math.hpp"
 #include "testutil/oracles.hpp"
 #include "workload/generators.hpp"
 
@@ -42,6 +45,25 @@ TEST(AsyncSolver, MatchesBruteForce) {
   const auto machine = MachineSpec::uniform_local(2, 4);
   const auto solution = solve_async(trace, machine);
   EXPECT_EQ(solution.total(), brute_force_async(trace, machine, {}));
+}
+
+TEST(AsyncSolver, NearMaximumHyperCostSaturates) {
+  // v = max − 1000 over a 256-switch universe: the optimum is one interval
+  // per task, and its cost saturates at the sentinel instead of wrapping.
+  workload::MultiPhasedConfig config;
+  config.tasks = 2;
+  config.task_config.steps = 24;
+  config.task_config.universe = 256;
+  const auto trace = workload::make_multi_phased(config, 3);
+  MachineSpec machine = MachineSpec::uniform_local(2, 256);
+  for (TaskSpec& task : machine.tasks) {
+    task.local_init = std::numeric_limits<Cost>::max() - 1000;
+  }
+  const auto solution = solve_async(trace, machine);
+  EXPECT_EQ(solution.total(), kCostInfinity);
+  for (const Partition& partition : solution.schedule.tasks) {
+    EXPECT_EQ(partition.interval_count(), 1u);
+  }
 }
 
 TEST(AsyncSolver, MatchesBruteForceOnRandomTraces) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "support/cost_math.hpp"
 #include "testutil/trace_builders.hpp"
 
 namespace hyperrec {
@@ -20,6 +23,21 @@ TEST(Greedy, ProducesValidSchedules) {
   EXPECT_EQ(
       solution.total(),
       evaluate_fully_sync_switch(trace, machine, solution.schedule, {}).total);
+}
+
+TEST(Greedy, NearMaximumHyperCostOpensNoInterval) {
+  // At v = max − 1000 no window gain can pay for a hyperreconfiguration;
+  // the window test must saturate instead of wrapping negative.
+  const auto trace = phased(5, 3, 32, 256);
+  MachineSpec machine = MachineSpec::uniform_local(3, 256);
+  for (TaskSpec& task : machine.tasks) {
+    task.local_init = std::numeric_limits<Cost>::max() - 1000;
+  }
+  const auto solution = solve_greedy(SolveInstance(trace, machine));
+  for (const Partition& partition : solution.schedule.tasks) {
+    EXPECT_EQ(partition.interval_count(), 1u);
+  }
+  EXPECT_EQ(solution.total(), kCostInfinity);
 }
 
 TEST(Greedy, SplitsOnSharpPhaseChange) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/aligned_dp.hpp"
+#include "support/cost_math.hpp"
 #include "support/thread_pool.hpp"
 #include "testutil/oracles.hpp"
 #include "testutil/trace_builders.hpp"
@@ -134,6 +137,30 @@ TEST(Hierarchical, SeamRepairNeverHurts) {
     merges += repaired.seam_merges;
   }
   EXPECT_GT(merges, 0u) << "repair must actually merge somewhere";
+}
+
+TEST(Hierarchical, SeamRepairDeltasDoNotWrap) {
+  // v = max − 1000 under seq/seq: dropping a seam boundary saves v_j, far
+  // more than any reconfiguration delta, so every task merges at every
+  // seam.  The seam's Σ_j v_j would wrap; the deltas must not.
+  const auto trace = testutil::phased_multi(9, 3, 64, 16);
+  MachineSpec machine = MachineSpec::uniform_local(3, 16);
+  for (TaskSpec& task : machine.tasks) {
+    task.local_init = std::numeric_limits<Cost>::max() - 1000;
+  }
+  const SolveInstance instance(trace, machine, kSegmentedOptions);
+  HierarchicalConfig config = segmented(16);
+  config.portfolio.solvers = {"greedy-w8", "coord-descent"};
+  ASSERT_FALSE(engine::portfolio_is_exact(instance, config.portfolio));
+  const auto result = solve_hierarchical(instance, config);
+  EXPECT_EQ(result.segments, 4u);
+  EXPECT_EQ(result.seam_merges, 9u);
+  for (const auto& partition : result.solution.schedule.tasks) {
+    for (const std::size_t seam : {16u, 32u, 48u}) {
+      EXPECT_FALSE(partition.is_boundary(seam)) << "seam " << seam;
+    }
+  }
+  EXPECT_EQ(result.solution.total(), kCostInfinity);
 }
 
 TEST(Hierarchical, BoundaryDpPlacesMandatoryGlobalBoundary) {

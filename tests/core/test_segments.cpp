@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "model/trace_stats.hpp"
-#include "streaming/stream_stats.hpp"
 #include "support/ensure.hpp"
 #include "support/rng.hpp"
 
@@ -269,8 +268,7 @@ TEST(BlockQuotaSum, BothStatsViewsMatchTheNaiveOracle) {
     const std::size_t tasks = 1 + rng.uniform(3);
     const MultiTaskTrace trace = random_demand_trace(rng, tasks, 17);
     const MultiTaskTraceStats stats(trace);
-    streaming::TraceBuilderStats growing(
-        std::vector<std::size_t>(tasks, std::size_t{3}));
+    MultiTaskTraceStats growing(trace.slice(0, 0));
     for (std::size_t i = 0; i < trace.steps(); ++i) {
       growing.append_step(trace.step(i));
     }

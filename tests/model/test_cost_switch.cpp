@@ -271,6 +271,35 @@ TEST(AsyncSwitch, MaxOverPerTaskTotals) {
   EXPECT_EQ(breakdown.total, 5);
 }
 
+TEST(AsyncSwitch, TotalsSaturateInsteadOfWrapping) {
+  // Two intervals per task at v = max − 1000: the per-task sums saturate
+  // at the sentinel, as the §4.2 evaluator's do on the same schedule.
+  MultiTaskTrace trace;
+  for (std::size_t j = 0; j < 2; ++j) {
+    TaskTrace task(4);
+    for (std::size_t i = 0; i < 6; ++i) {
+      task.push_back_local(DynamicBitset::from_string(i < 3 ? "1100" : "0011"));
+    }
+    trace.add_task(std::move(task));
+  }
+  MachineSpec machine = MachineSpec::uniform_local(2, 4);
+  for (TaskSpec& task : machine.tasks) {
+    task.local_init = std::numeric_limits<Cost>::max() - 1000;
+  }
+  MultiTaskSchedule schedule;
+  schedule.tasks.assign(2, Partition::from_starts({0, 3}, 6));
+
+  const auto breakdown = evaluate_async_switch(trace, machine, schedule, {});
+  EXPECT_EQ(breakdown.per_task[0], kCostInfinity);
+  EXPECT_EQ(breakdown.per_task[1], kCostInfinity);
+  EXPECT_EQ(breakdown.total, kCostInfinity);
+  EXPECT_EQ(
+      evaluate_async_switch(SolveInstance(trace, machine), schedule).total,
+      kCostInfinity);
+  EXPECT_EQ(evaluate_fully_sync_switch(trace, machine, schedule, {}).total,
+            kCostInfinity);
+}
+
 TEST(AsyncSwitch, PublicResourcesRejected) {
   const auto trace = small_trace();
   auto machine = small_machine();

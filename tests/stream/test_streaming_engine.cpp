@@ -197,6 +197,11 @@ TEST(StreamingEngine, RejectsBadStepsAndConfigs) {
   EXPECT_THROW(engine.current_solution(), PreconditionError);
 }
 
+TEST(StreamingEngine, RejectsAMachineWithNoTasks) {
+  EXPECT_THROW(StreamingEngine(MachineSpec{}, EvalOptions{}, fast_config(4, 0)),
+               PreconditionError);
+}
+
 TEST(BatchEngineStreaming, ReplayProducesStreamedJobsWithWindowReports) {
   Xoshiro256 rng(0xBa7);
   std::vector<engine::BatchJob> jobs;
