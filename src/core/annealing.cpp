@@ -41,8 +41,12 @@ MTSolution solve_annealing(const SolveInstance& instance,
     if (global_resources) schedule.global_boundaries.push_back(0);
     return schedule;
   };
+  // Every move prices a schedule: query the instance's tables.
+  const MultiTaskTraceStats& stats = instance.stats();
   auto cost_of = [&](const std::vector<DynamicBitset>& genes) {
-    return evaluate_fully_sync_switch(instance, build(genes)).total;
+    return detail::evaluate_fully_sync(trace, stats, machine, build(genes),
+                                       instance.options())
+        .total;
   };
 
   Cost current = cost_of(masks);

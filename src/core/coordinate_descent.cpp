@@ -167,7 +167,14 @@ MTSolution solve_coordinate_descent(const SolveInstance& instance,
     }
     return solve_aligned_dp(instance).schedule;
   }();
-  Cost current = evaluate_fully_sync_switch(instance, schedule).total;
+  // Every round prices m trial schedules: query the instance's tables.
+  const MultiTaskTraceStats& stats = instance.stats();
+  auto cost_of = [&](const MultiTaskSchedule& candidate) {
+    return detail::evaluate_fully_sync(trace, stats, machine, candidate,
+                                       options)
+        .total;
+  };
+  Cost current = cost_of(schedule);
 
   const std::size_t m = trace.task_count();
   // lint: hot-loop begin
@@ -181,7 +188,7 @@ MTSolution solve_coordinate_descent(const SolveInstance& instance,
       Partition candidate = optimize_task(instance, profile, t);
       MultiTaskSchedule trial = schedule;
       trial.tasks[t] = std::move(candidate);
-      const Cost trial_cost = evaluate_fully_sync_switch(instance, trial).total;
+      const Cost trial_cost = cost_of(trial);
       if (trial_cost < current) {
         schedule = std::move(trial);
         current = trial_cost;

@@ -46,10 +46,13 @@ MTSolution solve_exhaustive(const SolveInstance& instance) {
     }
   };
 
+  const MultiTaskTraceStats& stats = instance.stats();
   const std::uint64_t limit = std::uint64_t{1} << free_bits;
   for (std::uint64_t code = 0; code < limit; ++code) {
     decode_into(code);
-    const Cost total = evaluate_fully_sync_switch(instance, schedule).total;
+    const Cost total = detail::evaluate_fully_sync(trace, stats, machine,
+                                                   schedule, instance.options())
+                           .total;
     if (total < best_cost) {
       best_cost = total;
       best_code = code;

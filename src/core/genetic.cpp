@@ -132,8 +132,12 @@ GaResult solve_genetic(const SolveInstance& instance, const GaConfig& config) {
     population.push_back(random_chromosome(m, n, density, rng));
   }
 
+  // Every generation prices the whole population: query the instance's
+  // tables, built here once rather than by the first parallel fitness call.
+  const MultiTaskTraceStats& stats = instance.stats();
   auto fitness_of = [&](const Chromosome& genes) {
-    return evaluate_fully_sync_switch(instance, decode(genes, global_resources))
+    return detail::evaluate_fully_sync(trace, stats, machine,
+                                       decode(genes, global_resources), options)
         .total;
   };
 

@@ -2,13 +2,13 @@
 //
 // Every solver for the fully synchronised MT-Switch problem (§5 of the
 // paper) consumes a SolveInstance — the immutable IR bundling the validated
-// (trace, machine, options) triple with shared interval-query precomputation
+// (trace, machine, options) triple with interval tables built on first use
 // (model/instance.hpp) — and produces a MultiTaskSchedule; MTSolution
 // bundles it with its cost breakdown under the instance's evaluation
 // options.  The registry lets benches, the portfolio racer and tests
 // iterate all solvers uniformly; because solvers take the instance by const
-// reference, a portfolio race pays the precomputation once per instance,
-// not once per racer.
+// reference, a portfolio race builds the tables at most once per instance,
+// not once per racer, and not at all when no member queries them.
 #pragma once
 
 #include <functional>
@@ -41,7 +41,8 @@ struct MTSolution {
 };
 
 /// Re-evaluates a schedule against the instance and packages it as a
-/// solution; the evaluation hits the instance's precomputed views.
+/// solution.  One evaluation, so it makes one pass over the trace and does
+/// not build the instance's tables (evaluate_fully_sync_switch).
 [[nodiscard]] MTSolution make_solution(const SolveInstance& instance,
                                        MultiTaskSchedule schedule);
 

@@ -56,17 +56,11 @@ struct LocalHypercontext {
   std::uint32_t private_avail;   ///< max private demand (|h^priv|)
 };
 
-/// hypercontexts[j][k] = minimal hypercontext of task j in its interval k.
-/// Builds a one-off stats view internally; prefer the stats overload when a
-/// SolveInstance (or its MultiTaskTraceStats) is already in hand.
+/// hypercontexts[j][k] = minimal hypercontext of task j in its interval k,
+/// from one pass over each task's steps (no interval tables are built).
+/// Each partition must cover exactly its task's steps.
 [[nodiscard]] std::vector<std::vector<LocalHypercontext>>
 derive_local_hypercontexts(const MultiTaskTrace& trace,
-                           const MultiTaskSchedule& schedule);
-
-/// As above, but queries the precomputed stats views — O(words) per
-/// interval instead of O(range·words).
-[[nodiscard]] std::vector<std::vector<LocalHypercontext>>
-derive_local_hypercontexts(const MultiTaskTraceStats& stats,
                            const MultiTaskSchedule& schedule);
 
 struct CostBreakdown {
@@ -79,16 +73,17 @@ struct CostBreakdown {
 
 /// §4.2 evaluator for fully synchronised machines.  Requires a synchronized
 /// trace; validates the schedule, the private-global quota feasibility and
-/// the machine/trace shapes.  Builds a one-off stats view internally; the
-/// SolveInstance overload below reuses the instance's shared precomputation
-/// and is the hot-path entry point.
+/// the machine/trace shapes.  Prices one schedule in one pass over each
+/// task's steps (O(n·words) per task) and builds no interval tables — the
+/// right cost for a one-off evaluation such as make_solution's.  A caller
+/// that prices many schedules of one trace calls detail::evaluate_fully_sync
+/// with the instance's tables instead.
 [[nodiscard]] CostBreakdown evaluate_fully_sync_switch(
     const MultiTaskTrace& trace, const MachineSpec& machine,
     const MultiTaskSchedule& schedule, const EvalOptions& options = {});
 
-/// Instance-backed §4.2 evaluator: identical semantics (bit-identical
-/// CostBreakdown), but every interval union/demand query hits the
-/// instance's precomputed tables.
+/// The same one-pass evaluation over an instance's triple; it does not
+/// build the instance's tables (stats()).
 [[nodiscard]] CostBreakdown evaluate_fully_sync_switch(
     const SolveInstance& instance, const MultiTaskSchedule& schedule);
 
@@ -101,10 +96,13 @@ namespace detail {
                                            : cost_add(acc, value);
 }
 
-/// The body of both evaluate_fully_sync_switch overloads, over `trace` and
-/// a MultiTaskTraceStats of exactly its steps — built for a solve, or
-/// appended to step by step by the streaming engine, which prices its
-/// splices here without building a second set of tables.
+/// Table-backed §4.2 evaluator: the same checks and the same step walk as
+/// evaluate_fully_sync_switch (bit-identical CostBreakdown), but each
+/// interval's facts come from `stats`, a MultiTaskTraceStats of exactly
+/// trace's steps — O(words) per interval instead of O(length·words).  For
+/// callers that price many schedules: the metaheuristics, coordinate
+/// descent and exhaustive search pass instance.stats(), and the streaming
+/// engine passes the tables it appends to step by step.
 [[nodiscard]] CostBreakdown evaluate_fully_sync(
     const MultiTaskTrace& trace, const MultiTaskTraceStats& stats,
     const MachineSpec& machine, const MultiTaskSchedule& schedule,
@@ -122,12 +120,13 @@ struct AsyncCostBreakdown {
 /// work overlaps, so the machine-level cost is the per-task maximum.  Task
 /// traces may have different lengths.  Public resources must be absent (§3:
 /// they exist only on context-/fully-synchronised machines).  Single global
-/// block (at most one global hyperreconfiguration, at the start).
+/// block (at most one global hyperreconfiguration, at the start).  One pass
+/// over each task's steps; builds no interval tables.
 [[nodiscard]] AsyncCostBreakdown evaluate_async_switch(
     const MultiTaskTrace& trace, const MachineSpec& machine,
     const MultiTaskSchedule& schedule, const EvalOptions& options = {});
 
-/// Instance-backed §4.1 evaluator (shared precomputation, same result).
+/// The same §4.1 evaluation over an instance's triple (no tables built).
 [[nodiscard]] AsyncCostBreakdown evaluate_async_switch(
     const SolveInstance& instance, const MultiTaskSchedule& schedule);
 

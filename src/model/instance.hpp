@@ -2,14 +2,20 @@
 //
 // Every §5 solver, the §4.2 evaluator, the portfolio racer, the batch
 // engine and the solve cache consume the same validated triple
-// (trace, machine, options) — and, before this IR existed, each of them
-// re-derived the same interval facts from the raw trace.  SolveInstance
-// bundles the triple with eagerly built shared precomputation
-// (model/trace_stats.hpp): sparse-table interval unions, O(1) private-demand
-// maxima and per-step global demand sums.
+// (trace, machine, options).  SolveInstance bundles the triple with the
+// shared interval tables (model/trace_stats.hpp): sparse-table interval
+// unions, O(1) private-demand maxima and per-step global demand sums.
 // Construct once at the boundary (CLI, engine, bench, test), then share the
-// instance by const reference across every racer — the precomputation is
-// paid once per instance, not once per solver.
+// instance by const reference across every racer.
+//
+// The tables are built on first use: the first stats() or task_stats()
+// call builds them, once, and every later call (from any thread) gets the
+// same tables.  Solvers that query many intervals (coordinate descent,
+// greedy, GA, SA, exhaustive search, the segmented hierarchical path) pay
+// that build; the aligned DP, the flat exact path and make_solution never
+// ask, so an exact solve builds no tables at all.  stats() is thread-safe:
+// the members of a portfolio race share one instance, and whichever asks
+// first builds for all of them.
 //
 // Layering:
 //
@@ -27,6 +33,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 
 #include "model/cost_switch.hpp"
 #include "model/machine.hpp"
@@ -37,8 +44,8 @@ namespace hyperrec {
 
 class SolveInstance {
  public:
-  /// Validates the triple (machine/trace shape check) and builds the shared
-  /// precomputation.  Throws PreconditionError on shape mismatch.
+  /// Validates the triple (machine/trace shape check); builds no tables.
+  /// Throws PreconditionError on shape mismatch.
   SolveInstance(MultiTaskTrace trace, MachineSpec machine,
                 EvalOptions options = {});
 
@@ -56,18 +63,19 @@ class SolveInstance {
   [[nodiscard]] const EvalOptions& options() const noexcept {
     return data_->options;
   }
-  [[nodiscard]] const MultiTaskTraceStats& stats() const noexcept {
-    return data_->stats;
-  }
+  /// The interval tables of trace(), built by the first call (from any
+  /// thread; concurrent first calls build once and all get the same
+  /// tables).  Throws what building throws (bad_alloc).
+  [[nodiscard]] const MultiTaskTraceStats& stats() const;
   [[nodiscard]] const TaskTraceStats& task_stats(std::size_t j) const {
-    return data_->stats.task(j);
+    return stats().task(j);
   }
 
   [[nodiscard]] std::size_t task_count() const noexcept {
     return data_->trace.task_count();
   }
   [[nodiscard]] bool synchronized() const noexcept {
-    return data_->stats.synchronized();
+    return data_->synchronized;
   }
   /// Common step count; requires a synchronized trace.
   [[nodiscard]] std::size_t steps() const { return data_->trace.steps(); }
@@ -77,7 +85,9 @@ class SolveInstance {
     MultiTaskTrace trace;
     MachineSpec machine;
     EvalOptions options;
-    MultiTaskTraceStats stats;
+    bool synchronized = true;
+    mutable std::once_flag stats_built;
+    mutable MultiTaskTraceStats stats;
   };
   std::unique_ptr<const Data> data_;
 };

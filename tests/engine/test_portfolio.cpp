@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
+#include <thread>
+#include <vector>
 
 #include "core/aligned_dp.hpp"
 #include "core/greedy.hpp"
 #include "core/lower_bound.hpp"
+#include "model/trace_stats.hpp"
 #include "testutil/workload_instances.hpp"
 
 namespace hyperrec::engine {
@@ -332,6 +336,33 @@ TEST(Portfolio, BestBreakdownMatchesReEvaluation) {
   EXPECT_EQ(check.breakdown.total, result.best.breakdown.total);
   EXPECT_EQ(check.breakdown.hyper, result.best.breakdown.hyper);
   EXPECT_EQ(check.breakdown.reconfig, result.best.breakdown.reconfig);
+}
+
+TEST(Portfolio, ConcurrentFirstUseBuildsTheInstanceTablesOnce) {
+  // Race members share one instance, and whichever queries its tables
+  // first builds them.  Eight threads asking a fresh instance at once must
+  // all get the same tables, equal to a fresh build over the trace.
+  const WorkloadInstance workload =
+      seeded_workload_instances(4, 512, 256, 0x0CC0)[1];
+  const SolveInstance instance(workload.trace, workload.machine);
+  constexpr std::size_t kThreads = 8;
+  std::vector<const MultiTaskTraceStats*> seen(kThreads, nullptr);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[t] = &instance.stats();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+  }
+  EXPECT_EQ(&instance.stats(), seen[0]);
+  EXPECT_TRUE(*seen[0] == MultiTaskTraceStats(workload.trace));
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "model/instance.hpp"
+#include "model/trace_stats.hpp"
 #include "support/cost_math.hpp"
 #include "testutil/reference_eval.hpp"
 #include "testutil/trace_builders.hpp"
@@ -371,41 +373,206 @@ void expect_breakdowns_identical(const CostBreakdown& actual,
 }
 
 TEST(FullySyncSwitch, StatsBackedEvaluatorIsBitIdenticalToNaiveOracle) {
-  // Regression gate for the SolveInstance re-plumb: the evaluator now
-  // queries precomputed interval tables instead of rescanning the trace per
-  // boundary interval; on seeded random schedules every CostBreakdown field
-  // (total, hyper, reconfig, global_hyper, partial_hyper_steps) must match
-  // the naive-rescan oracle exactly, for both upload-combine settings and
-  // with changeover on.
+  // Both pricing paths — one pass over the trace (both public overloads,
+  // which build no tables) and the instance's tables
+  // (detail::evaluate_fully_sync over instance.stats()) — must match the
+  // naive-rescan oracle in every CostBreakdown field (total, hyper,
+  // reconfig, global_hyper, partial_hyper_steps) on seeded random
+  // schedules, under all 8 upload × changeover settings, on universes that
+  // straddle word boundaries.
   Xoshiro256 rng(0xC057C057ull);
-  const EvalOptions grids[] = {
-      {UploadMode::kTaskParallel, UploadMode::kTaskSequential, false},
-      {UploadMode::kTaskSequential, UploadMode::kTaskParallel, false},
-      {UploadMode::kTaskParallel, UploadMode::kTaskSequential, true},
-  };
-  for (std::size_t round = 0; round < 12; ++round) {
+  const std::size_t universes[] = {0, 63, 64, 65, 130, 1, 17, 70};
+  for (const std::size_t universe : universes) {
     const std::size_t tasks = 1 + rng.uniform(3);
     const std::size_t steps = 2 + rng.uniform(14);
-    const std::size_t universe = 1 + rng.uniform(70);
     const MultiTaskTrace trace =
         testutil::random_multi_trace(rng, tasks, steps, universe);
     const MachineSpec machine = MachineSpec::local_only(
         std::vector<std::size_t>(tasks, universe));
-    for (const EvalOptions& options : grids) {
-      const SolveInstance instance(trace, machine, options);
-      for (std::size_t s = 0; s < 4; ++s) {
-        const MultiTaskSchedule schedule =
-            testutil::random_schedule(rng, trace, machine, 0.3);
-        const CostBreakdown expected =
-            testutil::reference_fully_sync_breakdown(trace, machine, schedule,
-                                                     options);
-        expect_breakdowns_identical(
-            evaluate_fully_sync_switch(instance, schedule), expected,
-            "instance evaluator");
-        expect_breakdowns_identical(
-            evaluate_fully_sync_switch(trace, machine, schedule, options),
-            expected, "trace-overload evaluator");
+    for (const auto hyper :
+         {UploadMode::kTaskParallel, UploadMode::kTaskSequential}) {
+      for (const auto reconfig :
+           {UploadMode::kTaskParallel, UploadMode::kTaskSequential}) {
+        for (const bool changeover : {false, true}) {
+          const EvalOptions options{hyper, reconfig, changeover};
+          const SolveInstance instance(trace, machine, options);
+          for (std::size_t s = 0; s < 3; ++s) {
+            const MultiTaskSchedule schedule =
+                testutil::random_schedule(rng, trace, machine, 0.3);
+            const CostBreakdown expected =
+                testutil::reference_fully_sync_breakdown(trace, machine,
+                                                         schedule, options);
+            expect_breakdowns_identical(
+                evaluate_fully_sync_switch(instance, schedule), expected,
+                "instance evaluator");
+            expect_breakdowns_identical(
+                evaluate_fully_sync_switch(trace, machine, schedule, options),
+                expected, "trace-overload evaluator");
+            expect_breakdowns_identical(
+                detail::evaluate_fully_sync(trace, instance.stats(), machine,
+                                            schedule, options),
+                expected, "table-backed evaluator");
+          }
+        }
       }
+    }
+  }
+
+  // A near-maximum v_j saturates (the oracle's plain sums would overflow),
+  // and both paths saturate the same fields the same way.
+  const MultiTaskTrace trace = testutil::random_multi_trace(rng, 3, 12, 65);
+  MachineSpec machine = MachineSpec::local_only({65, 65, 65});
+  for (TaskSpec& task : machine.tasks) {
+    task.local_init = std::numeric_limits<Cost>::max() - 1000;
+  }
+  for (const bool changeover : {false, true}) {
+    const EvalOptions options{UploadMode::kTaskSequential,
+                              UploadMode::kTaskSequential, changeover};
+    const SolveInstance instance(trace, machine, options);
+    const MultiTaskSchedule schedule =
+        testutil::random_schedule(rng, trace, machine, 0.5);
+    const CostBreakdown one_pass =
+        evaluate_fully_sync_switch(instance, schedule);
+    EXPECT_EQ(one_pass.total, kCostInfinity);
+    expect_breakdowns_identical(
+        detail::evaluate_fully_sync(trace, instance.stats(), machine, schedule,
+                                    options),
+        one_pass, "table-backed evaluator, near-maximum v_j");
+  }
+}
+
+TEST(FullySyncSwitch, QuotaViolationThrowsTheSameMessageOnBothPaths) {
+  // Two global blocks; the second one's quotas (3 + 2) exceed a pool of 4
+  // while no single step's demand sum does (3 + 0, 0 + 2), so the table
+  // path cannot short-circuit on the per-step sums.
+  MultiTaskTrace trace;
+  const std::uint32_t demands[2][4] = {{1, 1, 3, 0}, {1, 1, 0, 2}};
+  for (const auto& row : demands) {
+    TaskTrace task(2);
+    for (const std::uint32_t demand : row) {
+      task.push_back({DynamicBitset::from_string("10"), demand});
+    }
+    trace.add_task(std::move(task));
+  }
+  MachineSpec machine = MachineSpec::uniform_local(2, 2);
+  machine.private_global_units = 4;
+  MultiTaskSchedule schedule;
+  schedule.tasks.assign(2, Partition::from_starts({0, 2}, 4));
+  schedule.global_boundaries = {0, 2};
+  const SolveInstance instance(trace, machine);
+
+  const auto message_of = [](const auto& evaluate) -> std::string {
+    try {
+      (void)evaluate();
+    } catch (const PreconditionError& error) {
+      return error.what();
+    }
+    return "no error";
+  };
+  const std::string one_pass = message_of(
+      [&] { return evaluate_fully_sync_switch(instance, schedule); });
+  EXPECT_NE(one_pass.find("exceeds the unit pool within a global block"),
+            std::string::npos)
+      << one_pass;
+  EXPECT_EQ(message_of([&] {
+              return evaluate_fully_sync_switch(trace, machine, schedule, {});
+            }),
+            one_pass);
+  EXPECT_EQ(message_of([&] {
+              return detail::evaluate_fully_sync(trace, instance.stats(),
+                                                 machine, schedule, {});
+            }),
+            one_pass);
+
+  // One more unit fits both blocks, on both paths alike.
+  machine.private_global_units = 5;
+  const SolveInstance fits(trace, machine);
+  expect_breakdowns_identical(
+      evaluate_fully_sync_switch(fits, schedule),
+      detail::evaluate_fully_sync(trace, fits.stats(), machine, schedule, {}),
+      "pool of 5");
+}
+
+TEST(AsyncSwitch, OnePassAgreesWithTablesOnUnequalTaskLengths) {
+  // The §4.1 evaluator prices each task in one pass over its own steps;
+  // per task it must equal the sum priced from that task's interval tables,
+  // with private demands, changeover and lengths that differ per task.
+  Xoshiro256 rng(0xA51C0FFEEull);
+  for (std::size_t round = 0; round < 12; ++round) {
+    const std::size_t tasks = 1 + rng.uniform(3);
+    MultiTaskTrace trace;
+    std::vector<std::size_t> universes;
+    MultiTaskSchedule schedule;
+    std::uint64_t pool = 0;
+    for (std::size_t j = 0; j < tasks; ++j) {
+      const std::size_t universe = 1 + rng.uniform(80);
+      const std::size_t steps = 1 + rng.uniform(20);
+      TaskTrace task(universe);
+      std::uint32_t peak = 0;
+      for (std::size_t i = 0; i < steps; ++i) {
+        const auto demand = static_cast<std::uint32_t>(rng.uniform(4));
+        peak = std::max(peak, demand);
+        task.push_back({testutil::random_requirement(rng, universe), demand});
+      }
+      pool += peak;
+      DynamicBitset mask(steps);
+      mask.set(0);
+      for (std::size_t i = 1; i < steps; ++i) {
+        if (rng.flip(0.3)) mask.set(i);
+      }
+      schedule.tasks.push_back(Partition::from_boundary_mask(mask));
+      universes.push_back(universe);
+      trace.add_task(std::move(task));
+    }
+    MachineSpec machine = MachineSpec::local_only(universes);
+    machine.private_global_units = pool;
+    machine.global_init = 5;
+    if (machine.has_global_resources()) schedule.global_boundaries = {0};
+
+    for (const bool changeover : {false, true}) {
+      const EvalOptions options{UploadMode::kTaskParallel,
+                                UploadMode::kTaskSequential, changeover};
+      const AsyncCostBreakdown actual =
+          evaluate_async_switch(trace, machine, schedule, options);
+      ASSERT_EQ(actual.per_task.size(), tasks);
+      Cost slowest = 0;
+      for (std::size_t j = 0; j < tasks; ++j) {
+        const TaskTraceStats tables(trace.task(j));
+        const Partition& partition = schedule.tasks[j];
+        Cost expected = 0;
+        for (std::size_t k = 0; k < partition.interval_count(); ++k) {
+          const auto [lo, hi] = partition.interval_bounds(k);
+          Cost hyper = machine.tasks[j].local_init;
+          if (changeover) {
+            const DynamicBitset current = tables.local_union(lo, hi);
+            hyper += static_cast<Cost>(
+                k == 0 ? current.count()
+                       : current.symmetric_difference_count(tables.local_union(
+                             partition.interval_bounds(k - 1).first, lo)));
+          }
+          const Cost size =
+              static_cast<Cost>(tables.local_union_count(lo, hi)) +
+              static_cast<Cost>(tables.max_private_demand(lo, hi));
+          expected += hyper + size * static_cast<Cost>(hi - lo);
+        }
+        EXPECT_EQ(actual.per_task[j], expected) << "round " << round;
+        slowest = std::max(slowest, expected);
+      }
+      const Cost global = machine.has_global_resources() ? 5 : 0;
+      EXPECT_EQ(actual.global_hyper, global);
+      EXPECT_EQ(actual.total, global + slowest);
+      EXPECT_EQ(evaluate_async_switch(SolveInstance(trace, machine, options),
+                                      schedule)
+                    .per_task,
+                actual.per_task);
+    }
+
+    // One unit short of the peaks' sum is rejected.
+    if (pool > 1) {
+      machine.private_global_units = pool - 1;
+      EXPECT_THROW(
+          (void)evaluate_async_switch(trace, machine, schedule, {}),
+          PreconditionError);
     }
   }
 }

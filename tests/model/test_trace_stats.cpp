@@ -160,10 +160,18 @@ TEST(SolveInstance, MoveKeepsTheStatsViewsValid) {
   SolveInstance original(trace, machine);
   const DynamicBitset expected = trace.task(0).local_union_naive(2, 17);
 
-  const SolveInstance moved = std::move(original);
+  // The tables are built on first use, which here comes after the move:
+  // they must equal a fresh build over the same trace.
+  SolveInstance moved = std::move(original);
   EXPECT_EQ(moved.task_stats(0).local_union(2, 17), expected);
   EXPECT_EQ(moved.task_stats(0).max_private_demand(0, 20),
             trace.task(0).max_private_demand_naive(0, 20));
+  EXPECT_TRUE(moved.stats() == MultiTaskTraceStats(trace));
+
+  // Once built, a further move hands out the same tables, not a rebuild.
+  const MultiTaskTraceStats* built = &moved.stats();
+  const SolveInstance again = std::move(moved);
+  EXPECT_EQ(&again.stats(), built);
 }
 
 }  // namespace

@@ -21,11 +21,38 @@ Google-Benchmark benches (bench_solver_scaling) are recognised and run
 with --benchmark_format=json so the A/B report covers individual BM_*
 timings rather than process wall time.
 
+A third mode A/B-tests perfbench workloads.  With --workload, --before
+and --after name two *checkouts* (repository roots, e.g. the parent commit
+and the change, each with identical perfbench/ code); the tool runs
+`perfbench/run.py` in each, in pairs whose order alternates (before/after,
+then after/before: ABBA), appends every run to a JSONL log, and prints, per
+metric, each side's median and quartiles, how many pairs the change wins
+(by the metric's `better` direction in BENCHMARK.json; ties count for
+neither), the parent's spread (IQR as a % of its median) against the
+metric's `bound`, and a verdict:
+
+  gain         wins >= 9/10 of the pairs and the medians differ by more than
+               the parent's IQR, in the better direction;
+  WORSE        the change's median is worse than the parent's by more than
+               the bound;
+  unresolved   the parent's IQR exceeds the bound and not every run of the
+               change beats every run of the parent;
+  within bound otherwise.
+
+Per-layer metrics (traced runs) get the same statistics without a verdict.
+Failed/attempted operation counts are summed per side, and every run that
+reported `correct: false` or exited non-zero is listed.  --from-log reports
+on earlier logs (several seeds at once) without running anything.
+
 Usage:
   tools/compare_bench.py --build-dir build              # compare
   tools/compare_bench.py --build-dir build --update     # rewrite baseline
   tools/compare_bench.py --before build-old --after build-new \
       [--rounds 5] [--benches bench_streaming,bench_solver_scaling]
+  tools/compare_bench.py --before ../parent --after . --workload batch_long \
+      --pairs 10 --seed 1 [--seconds 30] [--trace 1] [--log runs.jsonl]
+  tools/compare_bench.py --from-log runs-seed1.jsonl runs-seed29.jsonl
+  tools/compare_bench.py --self-test
 """
 
 import argparse
@@ -34,6 +61,8 @@ import pathlib
 import subprocess
 import sys
 import time
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 DESCRIPTION = (
     "Smoke-mode (--smoke) baseline per bench: wall time and captured "
@@ -161,13 +190,270 @@ def run_ab(args) -> int:
     return 0
 
 
+# --- perfbench A/B -----------------------------------------------------------
+
+def quartiles(values: list) -> tuple:
+    """(q1, median, q3) by linear interpolation between order statistics."""
+    ordered = sorted(values)
+    if not ordered:
+        return (float("nan"),) * 3
+
+    def at(fraction: float) -> float:
+        position = fraction * (len(ordered) - 1)
+        low = int(position)
+        high = min(low + 1, len(ordered) - 1)
+        return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
+
+    return at(0.25), at(0.5), at(0.75)
+
+
+def load_metric_specs(benchmark: pathlib.Path) -> tuple:
+    """({end-to-end name: spec}, {per-layer name: spec}) from BENCHMARK.json."""
+    spec = json.loads(benchmark.read_text())
+    return ({m["name"]: m for m in spec["end_to_end"]},
+            {m["name"]: m for m in spec.get("per_layer", [])})
+
+
+def run_perfbench(checkout: pathlib.Path, args) -> dict:
+    """One perfbench run in `checkout`; returns its log record."""
+    command = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+               "--seed", str(args.seed), "--seconds", str(args.seconds),
+               "--trace", str(args.trace)]
+    started = time.strftime("%Y-%m-%dT%H:%M:%S")
+    try:
+        proc = subprocess.run(command, cwd=checkout, capture_output=True,
+                              text=True, timeout=args.run_timeout)
+        code, out = proc.returncode, proc.stdout
+    except subprocess.TimeoutExpired:
+        code, out = None, ""
+    lines = out.strip().splitlines()
+    result = None
+    if lines:
+        try:
+            result = json.loads(lines[-1])
+        except json.JSONDecodeError:
+            result = None
+    return {"checkout": str(checkout), "workload": args.workload,
+            "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
+            "time": started, "exit": code,
+            "notes": [line[2:] for line in lines if line.startswith("# ")],
+            "result": result}
+
+
+def ab_pairs(args) -> list:
+    """Runs args.pairs ABBA pairs; logs and returns every run record."""
+    sides = {"before": pathlib.Path(args.before).resolve(),
+             "after": pathlib.Path(args.after).resolve()}
+    log_path = pathlib.Path(args.log or
+                            f".bench_ab/{args.workload}-seed{args.seed}"
+                            f"-trace{args.trace}.jsonl")
+    log_path.parent.mkdir(parents=True, exist_ok=True)
+    records = []
+    with log_path.open("a") as log:
+        for pair in range(args.pairs):
+            order = ("before", "after") if pair % 2 == 0 else ("after", "before")
+            for position, side in enumerate(order):
+                record = run_perfbench(sides[side], args)
+                record.update({"side": side, "pair": pair,
+                               "position": position})
+                log.write(json.dumps(record) + "\n")
+                log.flush()
+                records.append(record)
+                result = record["result"] or {}
+                print(f"pair {pair + 1}/{args.pairs} {side:<6} exit "
+                      f"{record['exit']} correct {result.get('correct')}",
+                      file=sys.stderr)
+    print(f"runs logged to {log_path}", file=sys.stderr)
+    return records
+
+
+def metric_value(record: dict, name: str):
+    metrics = (record.get("result") or {}).get("metrics", {})
+    entry = metrics.get(name)
+    return None if entry is None else entry["value"]
+
+
+def summarize_ab(records: list, end_to_end: dict, per_layer: dict) -> list:
+    """Report lines for the runs in `records` (any number of pairs)."""
+    pairs = {}
+    for record in records:
+        key = (record.get("workload"), record.get("seed"),
+               record.get("trace"), record.get("pair"))
+        pairs.setdefault(key, {})[record["side"]] = record
+    complete = [p for p in pairs.values() if "before" in p and "after" in p]
+    lines = [f"{len(complete)} complete pairs "
+             f"({len(records)} runs; median [q1, q3]; wins = pairs the "
+             "change wins, ties count for neither)"]
+
+    for side in ("before", "after"):
+        runs = [r for r in records if r["side"] == side]
+        attempted = sum((r.get("result") or {}).get("attempted", 0)
+                        for r in runs)
+        failed = sum((r.get("result") or {}).get("failed", 0) for r in runs)
+        lines.append(f"{side}: {len(runs)} runs, failed/attempted "
+                     f"{failed}/{attempted}")
+        for r in runs:
+            if r.get("exit") != 0 or not (r.get("result") or {}).get("correct"):
+                lines.append(f"  INCORRECT RUN: {side} workload "
+                             f"{r.get('workload')} seed {r.get('seed')} pair "
+                             f"{r.get('pair')} exit {r.get('exit')}")
+
+    names = list(end_to_end) + [n for n in per_layer if n not in end_to_end]
+    for name in names:
+        spec = end_to_end.get(name) or per_layer[name]
+        lower_better = spec.get("better", "lower") == "lower"
+        before = [metric_value(p["before"], name) for p in complete]
+        after = [metric_value(p["after"], name) for p in complete]
+        paired = [(b, a) for b, a in zip(before, after)
+                  if b is not None and a is not None]
+        if not paired:
+            continue
+        before = [b for b, _ in paired]
+        after = [a for _, a in paired]
+        b_q1, b_med, b_q3 = quartiles(before)
+        a_q1, a_med, a_q3 = quartiles(after)
+
+        def better(x, y):
+            return x < y if lower_better else x > y
+
+        wins = sum(1 for b, a in paired if better(a, b))
+        change = (a_med / b_med - 1.0) * 100.0 if b_med else 0.0
+        iqr = b_q3 - b_q1
+        spread = iqr / abs(b_med) if b_med else 0.0
+        row = (f"{name:<34} {b_med:.6g} [{b_q1:.6g}, {b_q3:.6g}] -> "
+               f"{a_med:.6g} [{a_q1:.6g}, {a_q3:.6g}] {change:+.1f}% "
+               f"wins {wins}/{len(paired)} parent IQR {spread * 100:.1f}%")
+        if name in end_to_end:
+            bound = spec["bound"]
+            worse = (a_med - b_med) / abs(b_med) if b_med else 0.0
+            if not lower_better:
+                worse = -worse
+            every_run_better = all(better(a, b) for a in after for b in before)
+            if (wins * 10 >= 9 * len(paired) and abs(a_med - b_med) > iqr
+                    and better(a_med, b_med)):
+                verdict = "gain"
+            elif worse > bound:
+                verdict = "WORSE"
+            elif spread > bound and not every_run_better:
+                verdict = "unresolved"
+            else:
+                verdict = "within bound"
+            row += f" (bound {bound * 100:.0f}%): {verdict}"
+        lines.append(row)
+    return lines
+
+
+def read_logs(paths: list) -> list:
+    records = []
+    for path in paths:
+        for line in pathlib.Path(path).read_text().splitlines():
+            if line.strip():
+                records.append(json.loads(line))
+    return records
+
+
+def canned_run(side: str, pair: int, p50: float, rss: float,
+               correct: bool = True) -> dict:
+    metrics = {"latency_p50_ms": {"value": p50, "unit": "ms"},
+               "peak_rss_mb": {"value": rss, "unit": "MiB"},
+               "model.instance_build_us": {"value": p50 * 100, "unit": "us"}}
+    return {"side": side, "pair": pair, "workload": "w", "seed": 1,
+            "trace": 0, "exit": 0 if correct else 1,
+            "result": {"correct": correct, "attempted": 10,
+                       "failed": 0 if correct else 1, "metrics": metrics}}
+
+
+def self_test() -> int:
+    """Checks the statistics and verdicts on canned runs."""
+    failures = []
+
+    def check(condition: bool, what: str) -> None:
+        if not condition:
+            failures.append(what)
+
+    check(quartiles([1, 2, 3, 4, 5]) == (2, 3, 4), "quartiles of 1..5")
+    check(quartiles([4, 1, 3, 2]) == (1.75, 2.5, 3.25), "quartiles of 1..4")
+    end_to_end = {
+        "latency_p50_ms": {"name": "latency_p50_ms", "better": "lower",
+                           "bound": 0.25},
+        "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower",
+                        "bound": 0.15},
+        "throughput_per_s": {"name": "throughput_per_s", "better": "higher",
+                             "bound": 0.25},
+    }
+    per_layer = {"model.instance_build_us": {"better": "lower"}}
+
+    def row_of(lines: list, name: str) -> str:
+        return next((line for line in lines if line.startswith(name)), "")
+
+    # Ten pairs: the change halves p50 in every pair; RSS is noisy on the
+    # parent (IQR above the 15% bound) and overlaps.
+    parent_rss = [100, 140, 100, 140, 100, 140, 100, 140, 100, 140]
+    runs = []
+    for pair in range(10):
+        runs.append(canned_run("before", pair, 10.0 + pair * 0.1,
+                               parent_rss[pair]))
+        runs.append(canned_run("after", pair, 5.0 + pair * 0.1, 120))
+    lines = summarize_ab(runs, end_to_end, per_layer)
+    check("wins 10/10" in row_of(lines, "latency_p50_ms"), "p50 wins 10/10")
+    check(row_of(lines, "latency_p50_ms").endswith(": gain"), "p50 gain")
+    check(row_of(lines, "peak_rss_mb").endswith(": unresolved"),
+          "noisy RSS is unresolved")
+    check("bound" not in row_of(lines, "model.instance_build_us"),
+          "per-layer rows carry no verdict")
+    check(row_of(lines, "throughput_per_s") == "",
+          "metrics no run reported are skipped")
+
+    # A change 30% slower in every pair is worse beyond the 25% bound; a
+    # failed run is counted and listed.
+    runs = []
+    for pair in range(4):
+        runs.append(canned_run("before", pair, 10.0, 100))
+        runs.append(canned_run("after", pair, 13.0, 100, correct=pair != 2))
+    lines = summarize_ab(runs, end_to_end, per_layer)
+    check(row_of(lines, "latency_p50_ms").endswith(": WORSE"), "p50 WORSE")
+    check(row_of(lines, "peak_rss_mb").endswith(": within bound"),
+          "flat RSS within bound")
+    check("after: 4 runs, failed/attempted 1/40" in lines, "failed count")
+    check(any("INCORRECT RUN: after" in line and "pair 2" in line
+              for line in lines), "incorrect run listed")
+
+    # 8 wins of 10 is no claimed gain even when the medians differ.
+    runs = []
+    for pair in range(10):
+        runs.append(canned_run("before", pair, 10.0, 100))
+        runs.append(canned_run("after", pair, 8.0 if pair < 8 else 11.0, 100))
+    lines = summarize_ab(runs, end_to_end, per_layer)
+    check(row_of(lines, "latency_p50_ms").endswith(": within bound"),
+          "8/10 wins is not a gain")
+
+    # An unpaired run is left out of the statistics.
+    runs.append(canned_run("before", 10, 50.0, 100))
+    lines = summarize_ab(runs, end_to_end, per_layer)
+    check(lines[0].startswith("10 complete pairs (21 runs"),
+          "unpaired run excluded")
+
+    for failure in failures:
+        print(f"self-test FAILED: {failure}", file=sys.stderr)
+    print("compare_bench self-test: " + ("ok" if not failures else "FAILED"))
+    return 0 if not failures else 1
+
+
+def run_perf_ab(args) -> int:
+    end_to_end, per_layer = load_metric_specs(pathlib.Path(args.benchmark))
+    records = (read_logs(args.from_log) if args.from_log
+               else ab_pairs(args))
+    for line in summarize_ab(records, end_to_end, per_layer):
+        print(line)
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build-dir", default="build")
     parser.add_argument(
         "--baseline",
-        default=str(pathlib.Path(__file__).resolve().parent.parent
-                    / "bench" / "BENCH_BASELINE.json"),
+        default=str(REPO_ROOT / "bench" / "BENCH_BASELINE.json"),
     )
     parser.add_argument("--threshold", type=float, default=0.25,
                         help="relative regression threshold (0.25 = +25%%)")
@@ -189,10 +475,42 @@ def main() -> int:
     parser.add_argument("--filter", default="",
                         help="A/B mode: --benchmark_filter for "
                              "Google-Benchmark benches")
+    parser.add_argument("--workload",
+                        help="perfbench A/B mode: workload to run; "
+                             "--before/--after then name checkouts")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="perfbench A/B mode: ABBA pairs to run")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="perfbench A/B mode: workload seed")
+    parser.add_argument("--seconds", type=float, default=30,
+                        help="perfbench A/B mode: run length")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="perfbench A/B mode: traced runs (per-layer "
+                             "metrics)")
+    parser.add_argument("--log",
+                        help="perfbench A/B mode: JSONL run log (default "
+                             ".bench_ab/<workload>-seed<S>-trace<T>.jsonl, "
+                             "appended to)")
+    parser.add_argument("--run-timeout", type=float, default=3600,
+                        help="perfbench A/B mode: seconds before a run "
+                             "(including its first build) is abandoned")
+    parser.add_argument("--benchmark", default=str(REPO_ROOT /
+                                                   "BENCHMARK.json"),
+                        help="metric directions and bounds (read only)")
+    parser.add_argument("--from-log", nargs="+",
+                        help="report on earlier perfbench A/B logs")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check the A/B statistics on canned runs")
     args = parser.parse_args()
 
+    if args.self_test:
+        return self_test()
+    if args.from_log:
+        return run_perf_ab(args)
     if bool(args.before) != bool(args.after):
         parser.error("--before and --after must be given together")
+    if args.before and args.workload:
+        return run_perf_ab(args)
     if args.before:
         return run_ab(args)
 
