@@ -24,14 +24,6 @@ struct IntervalFacts {
   std::vector<std::uint64_t> block_quotas;         ///< per block, pool > 0
 };
 
-std::size_t total_intervals(const MultiTaskSchedule& schedule) {
-  std::size_t total = 0;
-  for (const Partition& partition : schedule.tasks) {
-    total += partition.interval_count();
-  }
-  return total;
-}
-
 /// One pass over a task's steps: ORs each step of an interval into a
 /// running union and tracks its peak private demand, then calls
 /// visit(start, union, peak) once at the interval's end.
@@ -52,86 +44,85 @@ void for_each_interval(const TaskTrace& task, const Partition& partition,
   }
 }
 
-/// Interval facts from one pass over every task's steps; builds no tables.
-/// A validated global boundary is a boundary of every task, so each
-/// interval lies inside one block, and a task's block quota is the peak
-/// of its intervals there.  The asynchronous evaluator's single block
-/// (at most one global boundary) spans each task's own length.
-IntervalFacts facts_from_pass(const MultiTaskTrace& trace,
-                              const MultiTaskSchedule& schedule,
-                              bool changeover, std::uint64_t pool) {
+/// Gathers IntervalFacts task by task.  intervals_of(j, add) calls
+/// add(start, |U|, peak, union_of) for each interval of task j in order;
+/// union_of() yields the union and is called only under changeover.  A
+/// validated global boundary is a boundary of every task, so each interval
+/// lies inside one block and a task's block quota is the peak of its
+/// intervals there.  (The asynchronous evaluator's single block, at most
+/// one global boundary, spans each task's own length.)
+template <typename IntervalsOf>
+IntervalFacts collect_facts(const MultiTaskSchedule& schedule,
+                            bool changeover, std::uint64_t pool,
+                            IntervalsOf&& intervals_of) {
   const std::vector<std::size_t>& bounds = schedule.global_boundaries;
+  const std::size_t m = schedule.tasks.size();
   IntervalFacts facts;
-  facts.cursors.resize(trace.task_count());
-  facts.sizes.reserve(total_intervals(schedule));
-  if (changeover) facts.unions.resize(trace.task_count());
+  facts.cursors.resize(m);
+  std::size_t total_intervals = 0;
+  for (const Partition& partition : schedule.tasks) {
+    total_intervals += partition.interval_count();
+  }
+  facts.sizes.reserve(total_intervals);
+  if (changeover) facts.unions.resize(m);
   if (pool > 0) {
     facts.block_quotas.assign(std::max<std::size_t>(1, bounds.size()), 0);
   }
-  for (std::size_t j = 0; j < trace.task_count(); ++j) {
-    const Partition& partition = schedule.tasks[j];
+  for (std::size_t j = 0; j < m; ++j) {
     facts.cursors[j].offset = facts.sizes.size();
-    if (changeover) facts.unions[j].reserve(partition.interval_count());
+    if (changeover) facts.unions[j].reserve(schedule.tasks[j].interval_count());
     std::size_t block = 0;
     std::uint32_t block_peak = 0;
-    for_each_interval(
-        trace.task(j), partition,
-        [&](std::size_t start, const DynamicBitset& local,
-            std::uint32_t peak) {
-          facts.sizes.push_back(static_cast<Cost>(local.count()) +
-                                static_cast<Cost>(peak));
-          if (changeover) facts.unions[j].push_back(local);
-          if (pool == 0) return;
-          while (block + 1 < bounds.size() && bounds[block + 1] <= start) {
-            facts.block_quotas[block++] += block_peak;
-            block_peak = 0;
-          }
-          block_peak = std::max(block_peak, peak);
-        });
+    intervals_of(j, [&](std::size_t start, std::size_t count,
+                        std::uint32_t peak, const auto& union_of) {
+      facts.sizes.push_back(static_cast<Cost>(count) +
+                            static_cast<Cost>(peak));
+      if (changeover) facts.unions[j].push_back(union_of());
+      if (pool == 0) return;
+      while (block + 1 < bounds.size() && bounds[block + 1] <= start) {
+        facts.block_quotas[block++] += block_peak;
+        block_peak = 0;
+      }
+      block_peak = std::max(block_peak, peak);
+    });
     if (pool > 0) facts.block_quotas[block] += block_peak;
   }
   return facts;
 }
 
-/// Interval facts from the tables: O(words) per interval and O(m) per
-/// block, for callers that price many schedules of one trace.
+/// Interval facts from one pass over every task's steps; builds no tables.
+IntervalFacts facts_from_pass(const MultiTaskTrace& trace,
+                              const MultiTaskSchedule& schedule,
+                              bool changeover, std::uint64_t pool) {
+  return collect_facts(
+      schedule, changeover, pool, [&](std::size_t j, const auto& add) {
+        for_each_interval(trace.task(j), schedule.tasks[j],
+                          [&](std::size_t start, const DynamicBitset& local,
+                              std::uint32_t peak) {
+                            add(start, local.count(), peak,
+                                [&local] { return local; });
+                          });
+      });
+}
+
+/// Interval facts from the tables, O(words) per interval: for callers that
+/// price many schedules of one trace.
 IntervalFacts facts_from_tables(const MultiTaskTraceStats& stats,
                                 const MultiTaskSchedule& schedule,
-                                bool changeover, std::uint64_t pool,
-                                std::size_t n) {
-  const std::vector<std::size_t>& bounds = schedule.global_boundaries;
-  IntervalFacts facts;
-  facts.cursors.resize(stats.task_count());
-  facts.sizes.reserve(total_intervals(schedule));
-  if (changeover) facts.unions.resize(stats.task_count());
-  for (std::size_t j = 0; j < stats.task_count(); ++j) {
-    const TaskTraceStats& task = stats.task(j);
-    const Partition& partition = schedule.tasks[j];
-    facts.cursors[j].offset = facts.sizes.size();
-    if (changeover) facts.unions[j].reserve(partition.interval_count());
-    for (std::size_t k = 0; k < partition.interval_count(); ++k) {
-      const auto [start, end] = partition.interval_bounds(k);
-      facts.sizes.push_back(
-          static_cast<Cost>(task.local_union_count(start, end)) +
-          static_cast<Cost>(task.max_private_demand(start, end)));
-      if (changeover) facts.unions[j].push_back(task.local_union(start, end));
-    }
-  }
-  if (pool > 0) {
-    const std::size_t blocks = std::max<std::size_t>(1, bounds.size());
-    facts.block_quotas.reserve(blocks);
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::size_t lo = bounds.empty() ? 0 : bounds[b];
-      const std::size_t hi = (b + 1 < bounds.size()) ? bounds[b + 1] : n;
-      // The per-step demand sum is a lower bound on the quota sum, so the
-      // O(1) cross-task query stands in for a clearly infeasible block's
-      // quota without the per-task queries.
-      const std::uint64_t floor = stats.max_step_demand_sum(lo, hi);
-      facts.block_quotas.push_back(
-          floor > pool ? floor : stats.block_quota_sum(lo, hi));
-    }
-  }
-  return facts;
+                                bool changeover, std::uint64_t pool) {
+  return collect_facts(
+      schedule, changeover, pool, [&](std::size_t j, const auto& add) {
+        const TaskTraceStats& task = stats.task(j);
+        const Partition& partition = schedule.tasks[j];
+        for (std::size_t k = 0; k < partition.interval_count(); ++k) {
+          const auto [start, end] = partition.interval_bounds(k);
+          add(start, task.local_union_count(start, end),
+              task.max_private_demand(start, end),
+              [&task, start = start, end = end] {
+                return task.local_union(start, end);
+              });
+        }
+      });
 }
 
 /// Cost of task j's local hyperreconfiguration into interval k, including
@@ -243,7 +234,7 @@ CostBreakdown evaluate_fully_sync(const MultiTaskTrace& trace,
   return price_steps(
       machine, schedule, options,
       facts_from_tables(stats, schedule, options.changeover,
-                        machine.private_global_units, trace.steps()),
+                        machine.private_global_units),
       trace.steps());
 }
 

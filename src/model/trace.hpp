@@ -54,9 +54,10 @@ class TaskTrace {
   }
 
   /// Union of local requirements over steps [first, last) by linear rescan.
-  /// O(range·words) — kept as the property-test oracle for the precomputed
-  /// TaskTraceStats views (model/trace_stats.hpp), which every solver and
-  /// evaluator on the hot path queries instead.
+  /// O(range·words) — kept as the property-test oracle for the
+  /// TaskTraceStats views (model/trace_stats.hpp), which the solvers query
+  /// instead (and the one-off evaluators' single pass, which never rescans
+  /// an interval).
   [[nodiscard]] DynamicBitset local_union_naive(std::size_t first,
                                                 std::size_t last) const;
 

@@ -36,9 +36,13 @@
 // synchronized step.
 //
 // The tables copy what they need from the trace and keep no pointer into
-// it.  SolveInstance (model/instance.hpp) owns trace and stats together and
-// is the unit the solver stack shares; StreamingEngine appends each step to
-// its trace and to its stats.
+// it.  They pay off for callers that query many intervals of one trace
+// (greedy, coordinate descent, the metaheuristics, exhaustive search, the
+// segmented solves, streams); pricing one schedule is cheaper as one pass
+// over its steps (model/cost_switch.hpp), which builds no tables.
+// SolveInstance (model/instance.hpp) owns the trace and builds its stats
+// on first use, once, for whichever solver asks first; StreamingEngine
+// appends each step to its trace and to its stats.
 #pragma once
 
 #include <algorithm>

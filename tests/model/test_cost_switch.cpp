@@ -441,12 +441,9 @@ TEST(FullySyncSwitch, StatsBackedEvaluatorIsBitIdenticalToNaiveOracle) {
   }
 }
 
-TEST(FullySyncSwitch, QuotaViolationThrowsTheSameMessageOnBothPaths) {
-  // Two global blocks; the second one's quotas (3 + 2) exceed a pool of 4
-  // while no single step's demand sum does (3 + 0, 0 + 2), so the table
-  // path cannot short-circuit on the per-step sums.
+/// Two tasks × 4 steps over 2 switches with the given private demands.
+MultiTaskTrace demand_trace(const std::uint32_t (&demands)[2][4]) {
   MultiTaskTrace trace;
-  const std::uint32_t demands[2][4] = {{1, 1, 3, 0}, {1, 1, 0, 2}};
   for (const auto& row : demands) {
     TaskTrace task(2);
     for (const std::uint32_t demand : row) {
@@ -454,12 +451,17 @@ TEST(FullySyncSwitch, QuotaViolationThrowsTheSameMessageOnBothPaths) {
     }
     trace.add_task(std::move(task));
   }
+  return trace;
+}
+
+TEST(FullySyncSwitch, QuotaViolationThrowsTheSameMessageOnBothPaths) {
   MachineSpec machine = MachineSpec::uniform_local(2, 2);
   machine.private_global_units = 4;
-  MultiTaskSchedule schedule;
-  schedule.tasks.assign(2, Partition::from_starts({0, 2}, 4));
-  schedule.global_boundaries = {0, 2};
-  const SolveInstance instance(trace, machine);
+  MultiTaskSchedule two_blocks;
+  two_blocks.tasks.assign(2, Partition::from_starts({0, 2}, 4));
+  two_blocks.global_boundaries = {0, 2};
+  MultiTaskSchedule one_block = two_blocks;
+  one_block.global_boundaries = {0};
 
   const auto message_of = [](const auto& evaluate) -> std::string {
     try {
@@ -469,28 +471,49 @@ TEST(FullySyncSwitch, QuotaViolationThrowsTheSameMessageOnBothPaths) {
     }
     return "no error";
   };
-  const std::string one_pass = message_of(
-      [&] { return evaluate_fully_sync_switch(instance, schedule); });
-  EXPECT_NE(one_pass.find("exceeds the unit pool within a global block"),
-            std::string::npos)
-      << one_pass;
-  EXPECT_EQ(message_of([&] {
-              return evaluate_fully_sync_switch(trace, machine, schedule, {});
-            }),
-            one_pass);
-  EXPECT_EQ(message_of([&] {
-              return detail::evaluate_fully_sync(trace, instance.stats(),
-                                                 machine, schedule, {});
-            }),
-            one_pass);
+  // Every path must throw the one-pass message, or price identically.
+  const auto expect_same_outcome = [&](const MultiTaskTrace& trace,
+                                       const MultiTaskSchedule& schedule,
+                                       bool throws, const char* label) {
+    const SolveInstance instance(trace, machine);
+    const std::string one_pass = message_of(
+        [&] { return evaluate_fully_sync_switch(instance, schedule); });
+    EXPECT_EQ(one_pass.find("exceeds the unit pool within a global block") !=
+                  std::string::npos,
+              throws)
+        << label << ": " << one_pass;
+    EXPECT_EQ(message_of([&] {
+                return evaluate_fully_sync_switch(trace, machine, schedule,
+                                                  {});
+              }),
+              one_pass)
+        << label;
+    EXPECT_EQ(message_of([&] {
+                return detail::evaluate_fully_sync(trace, instance.stats(),
+                                                   machine, schedule, {});
+              }),
+              one_pass)
+        << label;
+    if (!throws) {
+      expect_breakdowns_identical(
+          evaluate_fully_sync_switch(instance, schedule),
+          detail::evaluate_fully_sync(trace, instance.stats(), machine,
+                                      schedule, {}),
+          label);
+    }
+  };
 
-  // One more unit fits both blocks, on both paths alike.
-  machine.private_global_units = 5;
-  const SolveInstance fits(trace, machine);
-  expect_breakdowns_identical(
-      evaluate_fully_sync_switch(fits, schedule),
-      detail::evaluate_fully_sync(trace, fits.stats(), machine, schedule, {}),
-      "pool of 5");
+  // The second block's quotas (3 + 2) exceed the pool while no single
+  // step's demand sum does (3 + 0, 0 + 2), so the table path cannot
+  // short-circuit on the per-step sums.
+  const MultiTaskTrace over = demand_trace({{1, 1, 3, 0}, {1, 1, 0, 2}});
+  expect_same_outcome(over, two_blocks, true, "second block over the pool");
+
+  // Peaks in different blocks (3 + 0, then 0 + 3) fit block by block, but
+  // not as one block (3 + 3): each interval's peak counts in its own block.
+  const MultiTaskTrace apart = demand_trace({{3, 0, 0, 0}, {0, 0, 0, 3}});
+  expect_same_outcome(apart, two_blocks, false, "peaks in separate blocks");
+  expect_same_outcome(apart, one_block, true, "peaks in one block");
 }
 
 TEST(AsyncSwitch, OnePassAgreesWithTablesOnUnequalTaskLengths) {
