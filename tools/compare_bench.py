@@ -249,12 +249,15 @@ def ab_pairs(args) -> list:
                             f"-trace{args.trace}.jsonl")
     log_path.parent.mkdir(parents=True, exist_ok=True)
     records = []
+    # Pair numbers restart with every invocation; the batch tells apart
+    # pairs appended to one log by different invocations.
+    batch = time.strftime("%Y-%m-%dT%H:%M:%S")
     with log_path.open("a") as log:
         for pair in range(args.pairs):
             order = ("before", "after") if pair % 2 == 0 else ("after", "before")
             for position, side in enumerate(order):
                 record = run_perfbench(sides[side], args)
-                record.update({"side": side, "pair": pair,
+                record.update({"side": side, "batch": batch, "pair": pair,
                                "position": position})
                 log.write(json.dumps(record) + "\n")
                 log.flush()
@@ -277,8 +280,8 @@ def summarize_ab(records: list, end_to_end: dict, per_layer: dict) -> list:
     """Report lines for the runs in `records` (any number of pairs)."""
     pairs = {}
     for record in records:
-        key = (record.get("workload"), record.get("seed"),
-               record.get("trace"), record.get("pair"))
+        key = (record.get("batch"), record.get("workload"),
+               record.get("seed"), record.get("trace"), record.get("pair"))
         pairs.setdefault(key, {})[record["side"]] = record
     complete = [p for p in pairs.values() if "before" in p and "after" in p]
     lines = [f"{len(complete)} complete pairs "
@@ -348,7 +351,9 @@ def read_logs(paths: list) -> list:
     for path in paths:
         for line in pathlib.Path(path).read_text().splitlines():
             if line.strip():
-                records.append(json.loads(line))
+                record = json.loads(line)
+                record.setdefault("batch", path)
+                records.append(record)
     return records
 
 
@@ -427,11 +432,17 @@ def self_test() -> int:
     check(row_of(lines, "latency_p50_ms").endswith(": within bound"),
           "8/10 wins is not a gain")
 
-    # An unpaired run is left out of the statistics.
+    # An unpaired run is left out of the statistics, and equal pair
+    # numbers from another batch are pairs of their own.
     runs.append(canned_run("before", 10, 50.0, 100))
     lines = summarize_ab(runs, end_to_end, per_layer)
     check(lines[0].startswith("10 complete pairs (21 runs"),
           "unpaired run excluded")
+    for run in runs[:4]:
+        runs.append(dict(run, batch="second"))
+    lines = summarize_ab(runs, end_to_end, per_layer)
+    check(lines[0].startswith("12 complete pairs (25 runs"),
+          "batches keep their own pairs")
 
     for failure in failures:
         print(f"self-test FAILED: {failure}", file=sys.stderr)
