@@ -24,25 +24,32 @@ timings rather than process wall time.
 A third mode A/B-tests perfbench workloads.  With --workload, --before
 and --after name two *checkouts* (repository roots, e.g. the parent commit
 and the change, each with identical perfbench/ code); the tool runs
-`perfbench/run.py` in each, in pairs whose order alternates (before/after,
-then after/before: ABBA), appends every run to a JSONL log, and prints, per
-metric, each side's median and quartiles, how many pairs the change wins
-(by the metric's `better` direction in BENCHMARK.json; ties count for
-neither), the parent's spread (IQR as a % of its median) against the
-metric's `bound`, and a verdict:
+`perfbench/run.py` in each for BENCHMARK.json's `run_seconds`, in pairs
+whose order alternates (before/after, then after/before: ABBA), appends
+every run to .bench_ab/<workload>-seed<S>-trace<T>.jsonl, and prints, per
+metric, each side's median and quartiles, how many of the complete pairs
+the change wins (by the metric's `better` direction in BENCHMARK.json; ties
+count for neither, and a pair with a failed run counts as no win), the
+parent's spread (IQR as a % of its median) against the metric's `bound`,
+and a verdict:
 
   gain         wins >= 9/10 of the pairs and the medians differ by more than
                the parent's IQR, in the better direction;
+  gain withheld
+               the same, but a run exited non-zero or reported `correct:
+               false`, or the change failed a larger share of its
+               operations than the parent;
   WORSE        the change's median is worse than the parent's by more than
                the bound;
   unresolved   the parent's IQR exceeds the bound and not every run of the
                change beats every run of the parent;
   within bound otherwise.
 
-Per-layer metrics (traced runs) get the same statistics without a verdict.
-Failed/attempted operation counts are summed per side, and every run that
-reported `correct: false` or exited non-zero is listed.  --from-log reports
-on earlier logs (several seeds at once) without running anything.
+A run that exited non-zero or reported `correct: false` contributes no
+metric values.  Per-layer metrics (traced runs) get the same statistics
+without a verdict.  Failed/attempted operation counts are summed per side,
+and every failed or incorrect run is listed.  --from-log reports on earlier
+logs (several seeds at once) without running anything.
 
 Usage:
   tools/compare_bench.py --build-dir build              # compare
@@ -50,8 +57,9 @@ Usage:
   tools/compare_bench.py --before build-old --after build-new \
       [--rounds 5] [--benches bench_streaming,bench_solver_scaling]
   tools/compare_bench.py --before ../parent --after . --workload batch_long \
-      --pairs 10 --seed 1 [--seconds 30] [--trace 1] [--log runs.jsonl]
-  tools/compare_bench.py --from-log runs-seed1.jsonl runs-seed29.jsonl
+      --pairs 10 --seed 1 [--trace 1]
+  tools/compare_bench.py --from-log .bench_ab/batch_long-seed1-trace0.jsonl \
+      .bench_ab/batch_long-seed29-trace0.jsonl
   tools/compare_bench.py --self-test
 """
 
@@ -63,6 +71,10 @@ import sys
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCHMARK = REPO_ROOT / "BENCHMARK.json"
+# A perfbench run (its first build included) still going after this many
+# seconds is abandoned and logged as failed.
+RUN_TIMEOUT_S = 3600
 
 DESCRIPTION = (
     "Smoke-mode (--smoke) baseline per bench: wall time and captured "
@@ -207,22 +219,24 @@ def quartiles(values: list) -> tuple:
     return at(0.25), at(0.5), at(0.75)
 
 
-def load_metric_specs(benchmark: pathlib.Path) -> tuple:
-    """({end-to-end name: spec}, {per-layer name: spec}) from BENCHMARK.json."""
-    spec = json.loads(benchmark.read_text())
-    return ({m["name"]: m for m in spec["end_to_end"]},
+def load_benchmark() -> tuple:
+    """(run seconds, {end-to-end name: spec}, {per-layer name: spec}) from
+    BENCHMARK.json."""
+    spec = json.loads(BENCHMARK.read_text())
+    return (spec["run_seconds"],
+            {m["name"]: m for m in spec["end_to_end"]},
             {m["name"]: m for m in spec.get("per_layer", [])})
 
 
-def run_perfbench(checkout: pathlib.Path, args) -> dict:
+def run_perfbench(checkout: pathlib.Path, args, seconds: float) -> dict:
     """One perfbench run in `checkout`; returns its log record."""
     command = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-               "--seed", str(args.seed), "--seconds", str(args.seconds),
+               "--seed", str(args.seed), "--seconds", str(seconds),
                "--trace", str(args.trace)]
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     try:
         proc = subprocess.run(command, cwd=checkout, capture_output=True,
-                              text=True, timeout=args.run_timeout)
+                              text=True, timeout=RUN_TIMEOUT_S)
         code, out = proc.returncode, proc.stdout
     except subprocess.TimeoutExpired:
         code, out = None, ""
@@ -234,19 +248,18 @@ def run_perfbench(checkout: pathlib.Path, args) -> dict:
         except json.JSONDecodeError:
             result = None
     return {"checkout": str(checkout), "workload": args.workload,
-            "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
+            "seed": args.seed, "seconds": seconds, "trace": args.trace,
             "time": started, "exit": code,
             "notes": [line[2:] for line in lines if line.startswith("# ")],
             "result": result}
 
 
-def ab_pairs(args) -> list:
+def ab_pairs(args, seconds: float) -> list:
     """Runs args.pairs ABBA pairs; logs and returns every run record."""
     sides = {"before": pathlib.Path(args.before).resolve(),
              "after": pathlib.Path(args.after).resolve()}
-    log_path = pathlib.Path(args.log or
-                            f".bench_ab/{args.workload}-seed{args.seed}"
-                            f"-trace{args.trace}.jsonl")
+    log_path = (REPO_ROOT / ".bench_ab" /
+                f"{args.workload}-seed{args.seed}-trace{args.trace}.jsonl")
     log_path.parent.mkdir(parents=True, exist_ok=True)
     records = []
     # Pair numbers restart with every invocation; the batch tells apart
@@ -256,7 +269,7 @@ def ab_pairs(args) -> list:
         for pair in range(args.pairs):
             order = ("before", "after") if pair % 2 == 0 else ("after", "before")
             for position, side in enumerate(order):
-                record = run_perfbench(sides[side], args)
+                record = run_perfbench(sides[side], args, seconds)
                 record.update({"side": side, "batch": batch, "pair": pair,
                                "position": position})
                 log.write(json.dumps(record) + "\n")
@@ -270,9 +283,17 @@ def ab_pairs(args) -> list:
     return records
 
 
+def run_ok(record: dict) -> bool:
+    """True when the run exited 0 and reported correct results."""
+    return (record.get("exit") == 0
+            and bool((record.get("result") or {}).get("correct")))
+
+
 def metric_value(record: dict, name: str):
-    metrics = (record.get("result") or {}).get("metrics", {})
-    entry = metrics.get(name)
+    """The metric's value, or None when the run failed or lacks it."""
+    if not run_ok(record):
+        return None
+    entry = record["result"].get("metrics", {}).get(name)
     return None if entry is None else entry["value"]
 
 
@@ -288,53 +309,66 @@ def summarize_ab(records: list, end_to_end: dict, per_layer: dict) -> list:
              f"({len(records)} runs; median [q1, q3]; wins = pairs the "
              "change wins, ties count for neither)"]
 
+    failed_share = {}
+    withheld = None
     for side in ("before", "after"):
         runs = [r for r in records if r["side"] == side]
         attempted = sum((r.get("result") or {}).get("attempted", 0)
                         for r in runs)
         failed = sum((r.get("result") or {}).get("failed", 0) for r in runs)
+        failed_share[side] = failed / attempted if attempted else 0.0
         lines.append(f"{side}: {len(runs)} runs, failed/attempted "
                      f"{failed}/{attempted}")
         for r in runs:
-            if r.get("exit") != 0 or not (r.get("result") or {}).get("correct"):
+            if not run_ok(r):
+                withheld = "a run failed or was incorrect"
                 lines.append(f"  INCORRECT RUN: {side} workload "
                              f"{r.get('workload')} seed {r.get('seed')} pair "
                              f"{r.get('pair')} exit {r.get('exit')}")
+    # The sides attempt different numbers of operations in a fixed run
+    # length, so their failed shares are compared, not their counts.
+    if failed_share["after"] > failed_share["before"]:
+        withheld = "more failed operations than the parent"
 
     names = list(end_to_end) + [n for n in per_layer if n not in end_to_end]
     for name in names:
         spec = end_to_end.get(name) or per_layer[name]
         lower_better = spec.get("better", "lower") == "lower"
-        before = [metric_value(p["before"], name) for p in complete]
-        after = [metric_value(p["after"], name) for p in complete]
-        paired = [(b, a) for b, a in zip(before, after)
-                  if b is not None and a is not None]
-        if not paired:
+        values = [(metric_value(p["before"], name),
+                   metric_value(p["after"], name)) for p in complete]
+        before = [b for b, _ in values if b is not None]
+        after = [a for _, a in values if a is not None]
+        if not before and not after:
             continue
-        before = [b for b, _ in paired]
-        after = [a for _, a in paired]
+        if not before or not after:
+            lines.append(f"{name:<34} reported by {len(before)} parent and "
+                         f"{len(after)} change runs: not compared")
+            continue
         b_q1, b_med, b_q3 = quartiles(before)
         a_q1, a_med, a_q3 = quartiles(after)
 
         def better(x, y):
             return x < y if lower_better else x > y
 
-        wins = sum(1 for b, a in paired if better(a, b))
+        # Every complete pair counts; one without both values is no win.
+        wins = sum(1 for b, a in values
+                   if b is not None and a is not None and better(a, b))
         change = (a_med / b_med - 1.0) * 100.0 if b_med else 0.0
         iqr = b_q3 - b_q1
         spread = iqr / abs(b_med) if b_med else 0.0
         row = (f"{name:<34} {b_med:.6g} [{b_q1:.6g}, {b_q3:.6g}] -> "
                f"{a_med:.6g} [{a_q1:.6g}, {a_q3:.6g}] {change:+.1f}% "
-               f"wins {wins}/{len(paired)} parent IQR {spread * 100:.1f}%")
+               f"wins {wins}/{len(complete)} parent IQR {spread * 100:.1f}%")
         if name in end_to_end:
             bound = spec["bound"]
             worse = (a_med - b_med) / abs(b_med) if b_med else 0.0
             if not lower_better:
                 worse = -worse
             every_run_better = all(better(a, b) for a in after for b in before)
-            if (wins * 10 >= 9 * len(paired) and abs(a_med - b_med) > iqr
+            if (wins * 10 >= 9 * len(complete) and abs(a_med - b_med) > iqr
                     and better(a_med, b_med)):
-                verdict = "gain"
+                verdict = (f"gain withheld ({withheld})" if withheld
+                           else "gain")
             elif worse > bound:
                 verdict = "WORSE"
             elif spread > bound and not every_run_better:
@@ -358,14 +392,15 @@ def read_logs(paths: list) -> list:
 
 
 def canned_run(side: str, pair: int, p50: float, rss: float,
-               correct: bool = True) -> dict:
+               correct: bool = True, failed: int = 0) -> dict:
     metrics = {"latency_p50_ms": {"value": p50, "unit": "ms"},
                "peak_rss_mb": {"value": rss, "unit": "MiB"},
                "model.instance_build_us": {"value": p50 * 100, "unit": "us"}}
     return {"side": side, "pair": pair, "workload": "w", "seed": 1,
             "trace": 0, "exit": 0 if correct else 1,
             "result": {"correct": correct, "attempted": 10,
-                       "failed": 0 if correct else 1, "metrics": metrics}}
+                       "failed": failed if correct else 1,
+                       "metrics": metrics}}
 
 
 def self_test() -> int:
@@ -432,6 +467,36 @@ def self_test() -> int:
     check(row_of(lines, "latency_p50_ms").endswith(": within bound"),
           "8/10 wins is not a gain")
 
+    # A crashed change-side run (no result) is a lost pair, not a dropped
+    # one: 9 wins of 10 pairs, and the crash withholds the gain.
+    def halved(**after_fields) -> list:
+        runs = []
+        for pair in range(10):
+            runs.append(canned_run("before", pair, 10.0 + pair * 0.1, 100))
+            runs.append(canned_run("after", pair, 5.0 + pair * 0.1, 100,
+                                   **after_fields))
+        return runs
+
+    runs = halved()
+    runs[7] = dict(runs[7], exit=None, result=None)
+    lines = summarize_ab(runs, end_to_end, per_layer)
+    check("wins 9/10" in row_of(lines, "latency_p50_ms"),
+          "a crashed change run loses its pair")
+    check(row_of(lines, "latency_p50_ms").endswith(
+        ": gain withheld (a run failed or was incorrect)"),
+        "a crashed run withholds the gain")
+    check(any("INCORRECT RUN: after" in line and "pair 3" in line
+              and "exit None" in line for line in lines),
+          "crashed run listed")
+
+    # Correct runs, but a larger share of failed operations on the change.
+    lines = summarize_ab(halved(failed=1), end_to_end, per_layer)
+    check("wins 10/10" in row_of(lines, "latency_p50_ms"),
+          "failed operations do not lose pairs")
+    check(row_of(lines, "latency_p50_ms").endswith(
+        ": gain withheld (more failed operations than the parent)"),
+        "more failed operations withhold the gain")
+
     # An unpaired run is left out of the statistics, and equal pair
     # numbers from another batch are pairs of their own.
     runs.append(canned_run("before", 10, 50.0, 100))
@@ -451,9 +516,9 @@ def self_test() -> int:
 
 
 def run_perf_ab(args) -> int:
-    end_to_end, per_layer = load_metric_specs(pathlib.Path(args.benchmark))
+    seconds, end_to_end, per_layer = load_benchmark()
     records = (read_logs(args.from_log) if args.from_log
-               else ab_pairs(args))
+               else ab_pairs(args, seconds))
     for line in summarize_ab(records, end_to_end, per_layer):
         print(line)
     return 0
@@ -493,21 +558,9 @@ def main() -> int:
                         help="perfbench A/B mode: ABBA pairs to run")
     parser.add_argument("--seed", type=int, default=1,
                         help="perfbench A/B mode: workload seed")
-    parser.add_argument("--seconds", type=float, default=30,
-                        help="perfbench A/B mode: run length")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
                         help="perfbench A/B mode: traced runs (per-layer "
                              "metrics)")
-    parser.add_argument("--log",
-                        help="perfbench A/B mode: JSONL run log (default "
-                             ".bench_ab/<workload>-seed<S>-trace<T>.jsonl, "
-                             "appended to)")
-    parser.add_argument("--run-timeout", type=float, default=3600,
-                        help="perfbench A/B mode: seconds before a run "
-                             "(including its first build) is abandoned")
-    parser.add_argument("--benchmark", default=str(REPO_ROOT /
-                                                   "BENCHMARK.json"),
-                        help="metric directions and bounds (read only)")
     parser.add_argument("--from-log", nargs="+",
                         help="report on earlier perfbench A/B logs")
     parser.add_argument("--self-test", action="store_true",
