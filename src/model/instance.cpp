@@ -9,7 +9,6 @@ SolveInstance::SolveInstance(MultiTaskTrace trace, MachineSpec machine,
   data->machine = std::move(machine);
   data->options = options;
   data->machine.validate_trace(data->trace);
-  data->synchronized = data->trace.synchronized();
   data_ = std::move(data);
 }
 

@@ -75,7 +75,7 @@ class SolveInstance {
     return data_->trace.task_count();
   }
   [[nodiscard]] bool synchronized() const noexcept {
-    return data_->synchronized;
+    return data_->trace.synchronized();
   }
   /// Common step count; requires a synchronized trace.
   [[nodiscard]] std::size_t steps() const { return data_->trace.steps(); }
@@ -85,7 +85,6 @@ class SolveInstance {
     MultiTaskTrace trace;
     MachineSpec machine;
     EvalOptions options;
-    bool synchronized = true;
     mutable std::once_flag stats_built;
     mutable MultiTaskTraceStats stats;
   };
