@@ -102,7 +102,7 @@ MTSolution solve_annealing(const SolveInstance& instance,
     temperature *= config.cooling;
   }
   // lint: hot-loop end
-  return make_solution(instance, build(best));
+  return make_solution_from_tables(instance, build(best));
 }
 
 }  // namespace hyperrec

@@ -182,7 +182,7 @@ MTSolution solve_coordinate_descent(const SolveInstance& instance,
     bool improved = false;
     for (std::size_t t = 0; t < m; ++t) {
       if (config.cancel.cancelled()) {
-        return make_solution(instance, std::move(schedule));
+        return make_solution_from_tables(instance, std::move(schedule));
       }
       const FrozenProfile profile = freeze(instance, schedule, t);
       Partition candidate = optimize_task(instance, profile, t);
@@ -198,7 +198,7 @@ MTSolution solve_coordinate_descent(const SolveInstance& instance,
     if (!improved) break;
   }
   // lint: hot-loop end
-  return make_solution(instance, std::move(schedule));
+  return make_solution_from_tables(instance, std::move(schedule));
 }
 
 }  // namespace hyperrec

@@ -59,7 +59,7 @@ MTSolution solve_exhaustive(const SolveInstance& instance) {
     }
   }
   decode_into(best_code);
-  return make_solution(instance, schedule);
+  return make_solution_from_tables(instance, schedule);
 }
 
 }  // namespace hyperrec

@@ -227,8 +227,8 @@ GaResult solve_genetic(const SolveInstance& instance, const GaConfig& config) {
   }
   // lint: hot-loop end
 
-  result.best =
-      make_solution(instance, decode(best_genes, global_resources));
+  result.best = make_solution_from_tables(
+      instance, decode(best_genes, global_resources));
   result.evaluations = evaluations;
   return result;
 }

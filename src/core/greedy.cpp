@@ -61,7 +61,7 @@ MTSolution solve_greedy(const SolveInstance& instance,
     schedule.tasks.push_back(Partition::from_starts(std::move(starts), n));
   }
   if (machine.has_global_resources()) schedule.global_boundaries.push_back(0);
-  return make_solution(instance, std::move(schedule));
+  return make_solution_from_tables(instance, std::move(schedule));
 }
 
 }  // namespace hyperrec

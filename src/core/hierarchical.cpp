@@ -246,7 +246,7 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
       schedule.tasks[j] = Partition::from_starts(std::move(task_starts[j]), n);
     }
   }
-  result.solution = make_solution(instance, std::move(schedule));
+  result.solution = make_solution_from_tables(instance, std::move(schedule));
   if (config.certify) {
     attach_certificate(instance, result.solution, config.bound);
   }

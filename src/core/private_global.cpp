@@ -83,7 +83,7 @@ PrivateGlobalSolution solve_private_global(const SolveInstance& instance,
     }
     result.quotas.push_back(std::move(quotas));
   }
-  result.solution = make_solution(instance, stitch(pieces));
+  result.solution = make_solution_from_tables(instance, stitch(pieces));
   return result;
 }
 

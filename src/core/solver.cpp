@@ -18,6 +18,16 @@ MTSolution make_solution(const SolveInstance& instance,
   return solution;
 }
 
+MTSolution make_solution_from_tables(const SolveInstance& instance,
+                                     MultiTaskSchedule schedule) {
+  MTSolution solution;
+  solution.breakdown = detail::evaluate_fully_sync(
+      instance.trace(), instance.stats(), instance.machine(), schedule,
+      instance.options());
+  solution.schedule = std::move(schedule);
+  return solution;
+}
+
 std::vector<NamedSolver> standard_solvers(const SolveHints& hints) {
   HYPERREC_ENSURE(hints.warm_start.size() <= 1,
                   "at most one warm-start schedule");

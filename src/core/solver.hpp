@@ -46,6 +46,13 @@ struct MTSolution {
 [[nodiscard]] MTSolution make_solution(const SolveInstance& instance,
                                        MultiTaskSchedule schedule);
 
+/// make_solution for a solver that has queried the instance's tables
+/// already: the same breakdown, priced through stats()
+/// (detail::evaluate_fully_sync) in O(words) per interval instead of one
+/// pass over the trace.
+[[nodiscard]] MTSolution make_solution_from_tables(
+    const SolveInstance& instance, MultiTaskSchedule schedule);
+
 /// Solver entry point.  The CancelToken is a cooperative hook: iterative
 /// solvers poll it between iterations and return their incumbent when it
 /// fires; exact solvers may ignore it (they are fast on the instance sizes

@@ -76,8 +76,8 @@ struct CostBreakdown {
 /// the machine/trace shapes.  Prices one schedule in one pass over each
 /// task's steps (O(n·words) per task) and builds no interval tables — the
 /// right cost for a one-off evaluation such as make_solution's.  A caller
-/// that prices many schedules of one trace calls detail::evaluate_fully_sync
-/// with the instance's tables instead.
+/// that prices many schedules of one trace, or has built the instance's
+/// tables anyway, calls detail::evaluate_fully_sync with them instead.
 [[nodiscard]] CostBreakdown evaluate_fully_sync_switch(
     const MultiTaskTrace& trace, const MachineSpec& machine,
     const MultiTaskSchedule& schedule, const EvalOptions& options = {});

@@ -28,10 +28,17 @@ TEST(SolverRegistry, AllSolversProduceValidConsistentSolutions) {
   for (const auto& solver : standard_solvers()) {
     const MTSolution solution = solver.solve(instance);
     EXPECT_NO_THROW(solution.schedule.validate(3, 24)) << solver.name;
-    EXPECT_EQ(
-        solution.total(),
-        evaluate_fully_sync_switch(trace, machine, solution.schedule, options)
-            .total)
+    // Solvers that queried the tables price their answer through them; the
+    // breakdown must equal a one-pass re-evaluation field by field.
+    const CostBreakdown fresh =
+        evaluate_fully_sync_switch(trace, machine, solution.schedule, options);
+    EXPECT_EQ(solution.total(), fresh.total) << solver.name;
+    EXPECT_EQ(solution.breakdown.hyper, fresh.hyper) << solver.name;
+    EXPECT_EQ(solution.breakdown.reconfig, fresh.reconfig) << solver.name;
+    EXPECT_EQ(solution.breakdown.global_hyper, fresh.global_hyper)
+        << solver.name;
+    EXPECT_EQ(solution.breakdown.partial_hyper_steps,
+              fresh.partial_hyper_steps)
         << solver.name;
     EXPECT_GT(solution.total(), 0) << solver.name;
   }
@@ -42,12 +49,15 @@ TEST(MakeSolution, ReEvaluatesSchedule) {
       {3}, {{DynamicBitset::from_string("111"),
              DynamicBitset::from_string("100")}});
   const auto machine = MachineSpec::local_only({3});
-  const auto solution =
-      make_solution(SolveInstance(trace, machine),
-                    MultiTaskSchedule::all_single(1, 2));
-  EXPECT_EQ(solution.total(), 3 + 3 * 2);
-  EXPECT_EQ(solution.breakdown.hyper, 3);
-  EXPECT_EQ(solution.breakdown.reconfig, 6);
+  const SolveInstance instance(trace, machine);
+  for (const auto& solution :
+       {make_solution(instance, MultiTaskSchedule::all_single(1, 2)),
+        make_solution_from_tables(instance,
+                                  MultiTaskSchedule::all_single(1, 2))}) {
+    EXPECT_EQ(solution.total(), 3 + 3 * 2);
+    EXPECT_EQ(solution.breakdown.hyper, 3);
+    EXPECT_EQ(solution.breakdown.reconfig, 6);
+  }
 }
 
 }  // namespace
