@@ -8,6 +8,11 @@
 //                          scan within about a phase here, so the phased
 //                          traces below grow close to linearly,
 //   * BM_AlignedDp       — O(m·n²) in the worst case, same early exit,
+//   * BM_AlignedDpFamily — the aligned DP at the benchmark's gated shapes:
+//                          4×4096×1024 jobs (random-walk, whose long scans
+//                          the union counters answer, and random, whose
+//                          short scans stay on merges) and 4×96×32 requests
+//                          of every workload family,
 //   * BM_CoordDescent    — polynomial local search on partial schedules,
 //   * BM_Exhaustive      — 2^{m(n−1)} schedules (tiny n only),
 //   * BM_ImplicitGeneral — 2^{|X|} hypercontexts per interval (tiny |X|).
@@ -63,6 +68,28 @@ void BM_AlignedDp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AlignedDp)->DenseRange(1, 8, 1);
+
+void BM_AlignedDpFamily(benchmark::State& state, const std::string& family,
+                        std::size_t steps, std::size_t universe) {
+  Xoshiro256 rng(1);
+  const SolveInstance instance(
+      workload::make_multi_family(family, 4, steps, universe, rng),
+      MachineSpec::local_only(std::vector<std::size_t>(4, universe)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solve_aligned_dp(instance).total());
+  }
+}
+BENCHMARK_CAPTURE(BM_AlignedDpFamily, random_walk_4096x1024, "random-walk",
+                  4096, 1024)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_AlignedDpFamily, random_4096x1024, "random", 4096, 1024)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_AlignedDpFamily, phased_96x32, "phased", 96, 32);
+BENCHMARK_CAPTURE(BM_AlignedDpFamily, random_96x32, "random", 96, 32);
+BENCHMARK_CAPTURE(BM_AlignedDpFamily, random_walk_96x32, "random-walk", 96,
+                  32);
+BENCHMARK_CAPTURE(BM_AlignedDpFamily, bursty_96x32, "bursty", 96, 32);
+BENCHMARK_CAPTURE(BM_AlignedDpFamily, periodic_96x32, "periodic", 96, 32);
 
 void BM_CoordDescent(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "support/cost_math.hpp"
+#include "core/interval_dp.hpp"
 
 namespace hyperrec {
 
@@ -27,61 +27,15 @@ MTSolution solve_aligned_dp(const SolveInstance& instance) {
         combine(options.hyper_upload, hyper_term, machine.tasks[j].local_init);
   }
 
-  std::vector<Cost> best(n + 1, kCostInfinity);
-  std::vector<std::size_t> parent(n + 1, 0);
-  best[0] = 0;
-  // The early exit is exact for a non-negative hyper term (proof in
-  // core/interval_dp.hpp); only task-sequential upload of negative
-  // local_init values makes it negative.
-  const bool prune = hyper_term >= 0;
-
-  std::vector<DynamicBitset> running;
-  running.reserve(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    running.emplace_back(trace.task(j).local_universe());
-  }
-  std::vector<std::size_t> union_sizes(m, 0);
-  std::vector<std::uint32_t> max_priv(m, 0);
-
-  // lint: hot-loop begin
-  for (std::size_t end = 1; end <= n; ++end) {
-    for (DynamicBitset& bits : running) bits.reset_all();
-    std::fill(union_sizes.begin(), union_sizes.end(), 0);
-    std::fill(max_priv.begin(), max_priv.end(), 0);
-    for (std::size_t start = end; start-- > 0;) {
-      Cost reconfig_term = static_cast<Cost>(machine.public_context_size);
-      for (std::size_t j = 0; j < m; ++j) {
-        union_sizes[j] +=
-            running[j].merge_counting(trace.task(j).at(start).local);
-        max_priv[j] =
-            std::max(max_priv[j], trace.task(j).at(start).private_demand);
-        reconfig_term = combine(options.reconfig_upload, reconfig_term,
-                                static_cast<Cost>(union_sizes[j]) +
-                                    static_cast<Cost>(max_priv[j]));
-      }
-      // Saturating: an adversarial local_init near the Cost maximum clamps
-      // at the sentinel instead of wrapping; saturated candidates never
-      // beat the sentinel, so parent[end] keeps the single interval.
-      const Cost tail =
-          cost_mul(reconfig_term, static_cast<Cost>(end - start));
-      const Cost candidate = cost_add(cost_add(best[start], hyper_term), tail);
-      if (candidate < best[end]) {
-        best[end] = candidate;
-        parent[end] = start;
-      }
-      if (prune && cost_add(best[start], tail) >= best[end]) break;
-    }
-  }
-  // lint: hot-loop end
-
-  std::vector<std::size_t> starts;
-  for (std::size_t cursor = n; cursor != 0; cursor = parent[cursor]) {
-    starts.push_back(parent[cursor]);
-  }
-  std::reverse(starts.begin(), starts.end());
+  std::vector<const TaskTrace*> tasks;
+  tasks.reserve(m);
+  for (std::size_t j = 0; j < m; ++j) tasks.push_back(&trace.task(j));
+  const detail::IntervalDp dp = detail::interval_dp(
+      tasks, 0, n, hyper_term,
+      static_cast<Cost>(machine.public_context_size), options.reconfig_upload);
 
   MultiTaskSchedule schedule;
-  schedule.tasks.assign(m, Partition::from_starts(starts, n));
+  schedule.tasks.assign(m, Partition::from_starts(dp.starts(), n));
   if (machine.has_global_resources()) {
     schedule.global_boundaries.push_back(0);
   }

@@ -9,13 +9,17 @@
 // (combine = max for task-parallel upload, Σ for task-sequential; the public
 // context size enters the reconfig combine).  An interval DP is then exact
 // for this machine class, and serves as a strong baseline and seed for the
-// partial-hyperreconfiguration heuristics.  It is O(m·n²) set operations in
-// the worst case; the hyper term is a constant H and the combined reconfig
-// term r(i,j) is non-negative and monotone under interval inclusion, so the
-// scan over starts stops at the exact early exit proven in
-// core/interval_dp.hpp (same proof, same saturating-arithmetic argument,
-// same bit-identical best[] and parent[]) and usually prices a handful of
-// starts per end.
+// partial-hyperreconfiguration heuristics.  It is the interval DP kernel of
+// core/interval_dp.hpp over the m tasks, with the hyper term as H, the
+// public context as the reconfig combine's start and the instance's
+// reconfig upload mode: O(n²) priced starts in the worst case, each growing
+// every task's union by one merge or, once the union counters have caught
+// up, one integer add.  The hyper term is a constant H and the combined
+// reconfig term r(i,j) is non-negative and monotone under interval
+// inclusion, so the scan over starts stops at the exact early exit proven
+// there (same proof, same saturating-arithmetic argument, same
+// bit-identical best[] and parent[]) and usually prices a handful of starts
+// per end.
 //
 // Changeover costs are supported only for aligned schedules with hyper
 // upload task-sequential (the per-task Δ terms add); for task-parallel the

@@ -10,12 +10,14 @@
 //      the portfolio's answer for the whole trace is the optimum, so it is
 //      returned as one window at any length, and under `certify` it
 //      certifies itself (lower_bound = total, gap 0) without a relaxation.
-//      The aligned DP is O(m·n²) union merges in the worst case, but its
+//      The aligned DP prices O(n²) starts in the worst case, each a union
+//      merge or one counter add per task (core/interval_dp.hpp), but its
 //      exact early exit makes it near-linear on all five workload families:
-//      at 4 tasks × 1e5 steps × 32 switches it takes 39–63 ms on phased,
-//      random, bursty and periodic traces and 123 ms on random-walk (one
-//      thread of a shared 4-vCPU Intel Xeon, best of 2), where segments
-//      plus the certificate took 123–207 ms and 340 ms.
+//      at 4 tasks × 1e5 steps × 32 switches it takes 21–43 ms on phased,
+//      random, bursty and periodic traces and 44–52 ms on random-walk (one
+//      thread of a shared 4-vCPU Intel Xeon, best of 2 in 2 rounds; 68–87
+//      ms for random-walk with union merges alone), where segments plus
+//      the certificate took 123–207 ms and 340 ms on an earlier run.
 //      Traces no longer than one segment are solved flat too, racing and
 //      certified by the relaxation as usual.  Everything else
 //   1. segments the trace into fixed-length windows and solves each window

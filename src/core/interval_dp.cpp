@@ -1,115 +1,215 @@
 #include "core/interval_dp.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <limits>
+
 #include "support/bitset_kernels.hpp"
 #include "support/cost_math.hpp"
 
 namespace hyperrec {
 
+namespace detail {
+
 namespace {
 
-/// The interval DP over steps [lo, hi) of `trace`, shared by
-/// solve_single_task_switch and single_task_switch_cost.  On return best[k]
-/// is the optimal cost of steps [lo, lo + k) and parent[k] the start
-/// (relative to lo) of its last interval.  The scans over starts stop at
-/// the exact early exit proven in the header.
-void interval_dp(const TaskTrace& trace, std::size_t lo, std::size_t hi,
-                 Cost hyper_init, std::vector<Cost>& best,
-                 std::vector<std::size_t>& parent) {
-  HYPERREC_ENSURE(hi <= trace.size(), "step range beyond the trace");
-  HYPERREC_ENSURE(lo < hi, "empty trace");
-  const std::size_t n = hi - lo;
-  best.assign(n + 1, kCostInfinity);
-  parent.assign(n + 1, 0);
-  best[0] = 0;
-  // The early exit is proven for H ≥ 0 only (see the header).
-  const bool prune = hyper_init >= 0;
+// Rent-or-buy prices, in units of one merged word: merging a task's step
+// costs its words plus kStartPrice, and catching it up costs its words plus
+// kBitPrice per set bit (each bit is a dependent load and store).
+constexpr std::size_t kStartPrice = 2;
+constexpr std::size_t kBitPrice = 3;
 
-  if (trace.local_universe() <= DynamicBitset::kWordBits) {
-    // Small-universe fast path: every local requirement is one word, so the
-    // inner loop runs on hoisted raw words — no bounds checks, no storage
-    // indirection, and the union merge is two ALU ops plus a popcount.
-    // Most workload families live here (universe 6..64).
-    using Word = DynamicBitset::Word;
-    std::vector<Word> locals(n, 0);
-    std::vector<std::uint32_t> demands(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const ContextRequirement& req = trace.at(lo + i);
-      if (!req.local.words().empty()) locals[i] = req.local.words().front();
-      demands[i] = req.private_demand;
-    }
-    // lint: hot-loop begin
-    for (std::size_t end = 1; end <= n; ++end) {
-      Word running = 0;
-      std::size_t union_size = 0;
-      std::uint32_t max_priv = 0;
-      // Extend the candidate interval [start, end) leftwards.
-      for (std::size_t start = end; start-- > 0;) {
-        const Word local = locals[start];
-        union_size += kernels::popcount_word(local & ~running);
-        running |= local;
-        max_priv = std::max(max_priv, demands[start]);
-        const Cost per_step =
-            static_cast<Cost>(union_size) + static_cast<Cost>(max_priv);
-        // Saturating arithmetic: adversarial hyper_init/private_demand must
-        // clamp at the sentinel instead of wrapping Cost (UB).
-        const Cost tail = cost_mul(per_step, static_cast<Cost>(end - start));
-        const Cost candidate =
-            cost_add(cost_add(best[start], hyper_init), tail);
-        if (candidate < best[end]) {
-          best[end] = candidate;
-          parent[end] = start;
-        }
-        if (prune && cost_add(best[start], tail) >= best[end]) break;
-      }
-    }
-    // lint: hot-loop end
-    return;
+}  // namespace
+
+UnionScan::UnionScan(std::span<const TaskTrace* const> tasks, std::size_t lo,
+                     std::size_t hi) {
+  HYPERREC_ENSURE(!tasks.empty(), "interval DP needs a task");
+  std::size_t words = 0;
+  std::size_t universe = 0;
+  lanes_.reserve(tasks.size());
+  for (const TaskTrace* task : tasks) {
+    HYPERREC_ENSURE(lo <= hi && hi <= task->size(),
+                    "step range beyond the trace");
+    Lane lane;
+    lane.steps = task->requirements().subspan(lo, hi - lo);
+    lane.universe = task->local_universe();
+    lane.words = (lane.universe + DynamicBitset::kWordBits - 1) /
+                 DynamicBitset::kWordBits;
+    lane.running = words;
+    lane.last = universe;
+    words += lane.words;
+    universe += lane.universe;
+    lanes_.push_back(lane);
   }
+  sizes_.assign(lanes_.size(), 0);
+  running_.assign(words, 0);
+  // The counters may never take more bytes than the range's own words.
+  const std::size_t n = hi - lo;
+  if (((n + 1) * lanes_.size() + universe) * sizeof(std::uint32_t) <=
+      n * words * sizeof(Word)) {
+    rent_per_start_ = words + kStartPrice * lanes_.size();
+  } else {
+    lag_ = std::numeric_limits<std::size_t>::max();
+  }
+}
 
-  // General path: the inner loop keeps its incrementally merged running
-  // union (amortised O(words) per extension beats a table query per pair).
-  DynamicBitset running(trace.local_universe());
+bool UnionScan::buy(std::size_t rent) {
+  // Price the lagging steps until they cost twice the rent (or all of them
+  // are priced): a scan whose rent keeps pace with its lag then prices,
+  // and calls here, only each time the rent doubles.
+  for (; lag_to_ < end_ && lag_ <= 2 * rent; ++lag_to_) {
+    for (const Lane& lane : lanes_) {
+      lag_ += lane.words +
+              kBitPrice * kernels::popcount(
+                              lane.steps[lag_to_].local.words().data(),
+                              lane.words);
+    }
+  }
+  if (rent < lag_) return false;
+  catch_up();
+  return true;
+}
+
+void UnionScan::catch_up() {
+  const std::size_t m = lanes_.size();
+  if (counts_.empty()) {
+    const std::size_t rows = lanes_.front().steps.size() + 1;
+    std::size_t universe = 0;
+    for (const Lane& lane : lanes_) {
+      HYPERREC_ENSURE(
+          lane.universe <= std::numeric_limits<std::uint32_t>::max(),
+          "universe too large for 32-bit union counters");
+      universe += lane.universe;
+    }
+    HYPERREC_ENSURE(rows * m <= std::numeric_limits<std::uint32_t>::max(),
+                    "step range too long for 32-bit union counters");
+    counts_.assign(rows * m, 0);
+    last_.resize(universe);
+    for (std::size_t j = 0; j < m; ++j) {
+      std::fill_n(last_.begin() + static_cast<std::ptrdiff_t>(lanes_[j].last),
+                  lanes_[j].universe, static_cast<std::uint32_t>(j));
+    }
+  }
+  // lint: hot-loop begin
+  for (std::size_t t = synced_; t < end_; ++t) {
+    for (std::size_t j = 0; j < m; ++j) {
+      const Lane& lane = lanes_[j];
+      const Word* words = lane.steps[t].local.words().data();
+      std::uint32_t* last = last_.data() + lane.last;
+      const auto tag = static_cast<std::uint32_t>((t + 1) * m + j);
+      std::uint32_t here = 0;
+      for (std::size_t w = 0; w < lane.words; ++w) {
+        for (Word bits = words[w]; bits != 0; bits &= bits - 1) {
+          const std::size_t x =
+              w * DynamicBitset::kWordBits +
+              static_cast<std::size_t>(std::countr_zero(bits));
+          --counts_[last[x]];
+          last[x] = tag;
+          ++here;
+        }
+      }
+      counts_[tag] = here;
+    }
+  }
+  // lint: hot-loop end
+  synced_ = end_;
+  lag_to_ = end_;
+  lag_ = 0;
+  ++catch_ups_;
+}
+
+std::vector<std::size_t> IntervalDp::starts() const {
+  std::vector<std::size_t> out;
+  for (std::size_t cursor = parent.size() - 1; cursor != 0;
+       cursor = parent[cursor]) {
+    out.push_back(parent[cursor]);
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
+namespace {
+
+/// interval_dp's scans, with the task count fixed at compile time when
+/// kLanes is not 0.
+template <std::size_t kLanes>
+void scan_ends(UnionScan& unions,
+               std::span<const std::span<const ContextRequirement>> steps,
+               Cost hyper, Cost public_size, UploadMode reconfig_upload,
+               IntervalDp& dp) {
+  const std::size_t m = kLanes != 0 ? kLanes : steps.size();
+  const std::size_t n = dp.best.size() - 1;
+  std::vector<Cost>& best = dp.best;
+  std::vector<std::size_t>& parent = dp.parent;
+  std::vector<std::uint32_t> max_priv(m, 0);
+  // The early exit is proven for H ≥ 0 only (see the header).
+  const bool prune = hyper >= 0;
+
   // lint: hot-loop begin
   for (std::size_t end = 1; end <= n; ++end) {
-    running.reset_all();
-    std::size_t union_size = 0;
-    std::uint32_t max_priv = 0;
     // Extend the candidate interval [start, end) leftwards.
-    for (std::size_t start = end; start-- > 0;) {
-      const ContextRequirement& req = trace.at(lo + start);
-      union_size += running.merge_counting(req.local);
-      max_priv = std::max(max_priv, req.private_demand);
-      const Cost per_step =
-          static_cast<Cost>(union_size) + static_cast<Cost>(max_priv);
-      // Saturating arithmetic (see the fast path above).
-      const Cost tail = cost_mul(per_step, static_cast<Cost>(end - start));
-      const Cost candidate = cost_add(cost_add(best[start], hyper_init), tail);
+    unions.scan<kLanes>(end, [&](std::size_t start,
+                                 std::span<const std::size_t> union_sizes) {
+      Cost reconfig = public_size;
+      for (std::size_t j = 0; j < m; ++j) {
+        const std::uint32_t demand = steps[j][start].private_demand;
+        max_priv[j] =
+            start + 1 == end ? demand : std::max(max_priv[j], demand);
+        reconfig = combine(reconfig_upload, reconfig,
+                           static_cast<Cost>(union_sizes[j]) +
+                               static_cast<Cost>(max_priv[j]));
+      }
+      // Saturating arithmetic: adversarial hyper costs or private demands
+      // clamp at the sentinel instead of wrapping Cost (UB); saturated
+      // candidates never beat the sentinel, so parent[end] keeps the single
+      // interval.
+      const Cost tail = cost_mul(reconfig, static_cast<Cost>(end - start));
+      const Cost candidate = cost_add(cost_add(best[start], hyper), tail);
       if (candidate < best[end]) {
         best[end] = candidate;
         parent[end] = start;
       }
-      if (prune && cost_add(best[start], tail) >= best[end]) break;
-    }
+      return !prune || cost_add(best[start], tail) < best[end];
+    });
   }
   // lint: hot-loop end
 }
 
 }  // namespace
 
+IntervalDp interval_dp(std::span<const TaskTrace* const> tasks,
+                       std::size_t lo, std::size_t hi, Cost hyper,
+                       Cost public_size, UploadMode reconfig_upload) {
+  HYPERREC_ENSURE(lo < hi, "empty trace");
+  UnionScan unions(tasks, lo, hi);
+  const std::size_t n = hi - lo;
+  std::vector<std::span<const ContextRequirement>> steps;
+  steps.reserve(tasks.size());
+  for (const TaskTrace* task : tasks) {
+    steps.push_back(task->requirements().subspan(lo, n));
+  }
+  IntervalDp dp{std::vector<Cost>(n + 1, kCostInfinity),
+                std::vector<std::size_t>(n + 1, 0)};
+  dp.best[0] = 0;
+  if (steps.size() == 1) {
+    scan_ends<1>(unions, steps, hyper, public_size, reconfig_upload, dp);
+  } else {
+    scan_ends<0>(unions, steps, hyper, public_size, reconfig_upload, dp);
+  }
+  return dp;
+}
+
+}  // namespace detail
+
 SingleTaskSolution solve_single_task_switch(const TaskTrace& trace,
                                             Cost hyper_init) {
   const std::size_t n = trace.size();
-  std::vector<Cost> best;
-  std::vector<std::size_t> parent;
-  interval_dp(trace, 0, n, hyper_init, best, parent);
+  const TaskTrace* const task = &trace;
+  const detail::IntervalDp dp = detail::interval_dp(
+      {&task, 1}, 0, n, hyper_init, 0, UploadMode::kTaskParallel);
 
-  std::vector<std::size_t> starts;
-  for (std::size_t cursor = n; cursor != 0; cursor = parent[cursor]) {
-    starts.push_back(parent[cursor]);
-  }
-  std::reverse(starts.begin(), starts.end());
-
-  SingleTaskSolution solution{Partition::from_starts(starts, n), best[n], {}};
+  SingleTaskSolution solution{Partition::from_starts(dp.starts(), n),
+                              dp.best[n], {}};
   // One pass over the steps: every step lies in exactly one interval.
   solution.hypercontexts.reserve(solution.partition.interval_count());
   for (std::size_t k = 0; k < solution.partition.interval_count(); ++k) {
@@ -123,10 +223,10 @@ SingleTaskSolution solve_single_task_switch(const TaskTrace& trace,
 
 Cost single_task_switch_cost(const TaskTrace& trace, std::size_t lo,
                              std::size_t hi, Cost hyper_init) {
-  std::vector<Cost> best;
-  std::vector<std::size_t> parent;
-  interval_dp(trace, lo, hi, hyper_init, best, parent);
-  return best.back();
+  const TaskTrace* const task = &trace;
+  return detail::interval_dp({&task, 1}, lo, hi, hyper_init, 0,
+                             UploadMode::kTaskParallel)
+      .best.back();
 }
 
 SingleTaskSolution solve_single_task_switch_changeover(const TaskTrace& trace,

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "support/bitset.hpp"
@@ -43,6 +44,13 @@ class TaskTrace {
   [[nodiscard]] const ContextRequirement& at(std::size_t step) const {
     HYPERREC_ENSURE(step < steps_.size(), "trace step out of range");
     return steps_[step];
+  }
+
+  /// Every requirement in step order, for loops that index steps without a
+  /// bounds check per access (the interval DPs' scans).
+  [[nodiscard]] std::span<const ContextRequirement> requirements()
+      const noexcept {
+    return steps_;
   }
 
   /// Appends a requirement; its local universe must match.

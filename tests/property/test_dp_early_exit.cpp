@@ -3,11 +3,13 @@
 // hypercontexts as the unpruned reference loops (testutil/reference_dp.hpp)
 // on instances where the early exit really fires.  The grid covers every
 // workload family up to 512 steps, universes on both sides of one word
-// (16, 64 on the one-word path; 65, 200, 1024 on the multi-word path),
-// local-only and private-demand-plus-public-context machines, all four
-// upload-mode pairs, and hyperreconfiguration costs from 0 through the
-// saturating range (kCostInfinity − 1, Cost max − 1000) to negative values,
-// for which the scan does not prune.
+// (16, 64, 65, 200, 1024), local-only and private-demand-plus-public-context
+// machines, all four upload-mode pairs, and hyperreconfiguration costs from
+// 0 through the saturating range (kCostInfinity − 1, Cost max − 1000) to
+// negative values, for which the scan does not prune.  Random-walk rows at
+// 1024 steps (single task) and 512 (aligned) have the long scans on which
+// the union counters take over from the merges, and single_task_switch_cost
+// on ranges past step 0 must equal the DP of the sliced trace.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -175,10 +177,86 @@ TEST_P(DpEarlyExit, AlignedDpMatchesUnprunedReference) {
   EXPECT_GT(skippable, 0u);
 }
 
-// Universes 16 and 64 take the one-word loop; 65, 200 and 1024 the
-// multi-word loop.
+TEST_P(DpEarlyExit, SingleTaskCostInPlaceMatchesTheSlicedTrace) {
+  const std::size_t universe = GetParam();
+  std::uint64_t seed = 300 + universe;
+  for (const std::string& family : workload::family_names()) {
+    for (const Variant& variant :
+         variants(family, kSingleTaskSteps, universe, seed++)) {
+      const TaskTrace& task = variant.trace.task(0);
+      for (const Cost init : init_costs(universe)) {
+        for (const auto& [lo, hi] :
+             {std::pair<std::size_t, std::size_t>{1, 2},
+              {37, kSingleTaskSteps},
+              {101, 389}}) {
+          SCOPED_TRACE(family + " v=" + std::to_string(init) + " [" +
+                       std::to_string(lo) + ", " + std::to_string(hi) + ")" +
+                       (variant.global_resources ? " private" : " local"));
+          EXPECT_EQ(single_task_switch_cost(task, lo, hi, init),
+                    solve_single_task_switch(task.slice(lo, hi), init).total);
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Universes, DpEarlyExit,
                          ::testing::Values(16, 64, 65, 200, 1024));
+
+// Random-walk's optimal intervals are long, so its scans price many starts
+// per end and the union counters answer most of them.
+constexpr std::size_t kLongSingleTaskSteps = 1024;
+constexpr std::size_t kLongAlignedSteps = 512;
+
+class DpEarlyExitLongScans : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DpEarlyExitLongScans, SingleTaskDpMatchesUnprunedReference) {
+  const std::size_t universe = GetParam();
+  std::size_t skippable = 0;
+  for (const Variant& variant : variants("random-walk", kLongSingleTaskSteps,
+                                         universe, 700 + universe)) {
+    const TaskTrace& task = variant.trace.task(0);
+    for (const Cost init : init_costs(universe)) {
+      SCOPED_TRACE("v=" + std::to_string(init) +
+                   (variant.global_resources ? " private" : " local"));
+      expect_same_single_task(task, init, skippable);
+      EXPECT_EQ(single_task_switch_cost(task, 211, kLongSingleTaskSteps, init),
+                solve_single_task_switch(
+                    task.slice(211, kLongSingleTaskSteps), init)
+                    .total);
+    }
+    expect_same_single_task(task, -(kCostInfinity / 8), skippable);
+  }
+  EXPECT_GT(skippable, 0u);
+}
+
+TEST_P(DpEarlyExitLongScans, AlignedDpMatchesUnprunedReference) {
+  const std::size_t universe = GetParam();
+  std::size_t skippable = 0;
+  for (const Variant& variant : variants("random-walk", kLongAlignedSteps,
+                                         universe, 800 + universe)) {
+    for (const Cost init : init_costs(universe)) {
+      const MachineSpec machine = machine_for(variant, universe, init);
+      for (const UploadMode hyper :
+           {UploadMode::kTaskParallel, UploadMode::kTaskSequential}) {
+        for (const UploadMode reconfig :
+             {UploadMode::kTaskParallel, UploadMode::kTaskSequential}) {
+          SCOPED_TRACE("v=" + std::to_string(init) +
+                       (variant.global_resources ? " private" : " local") +
+                       " hyper=" + std::to_string(static_cast<int>(hyper)) +
+                       " reconfig=" +
+                       std::to_string(static_cast<int>(reconfig)));
+          const EvalOptions options{hyper, reconfig, false};
+          expect_same_aligned(variant.trace, machine, options, skippable);
+        }
+      }
+    }
+  }
+  EXPECT_GT(skippable, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Universes, DpEarlyExitLongScans,
+                         ::testing::Values(32, 1024));
 
 }  // namespace
 }  // namespace hyperrec

@@ -42,17 +42,23 @@ TEST(LockOrder, HierarchicalAcquisitionPasses) {
 
 TEST(LockOrder, SameClassNestingPasses) {
   // Sharded/hierarchical locks of one family share a name; nesting them in
-  // either order is allowed by construction (no intra-class edges).
+  // either order is allowed by construction (no intra-class edges).  The
+  // two orders nest different objects of the class, so no single pair of
+  // mutexes is ever taken both ways (a thread sanitizer would report that
+  // as an inversion); a validator that keyed edges by object instead of by
+  // class would still record them.
   const ScopedEnable enable;
-  Mutex shard_a{"test::shard"};
-  Mutex shard_b{"test::shard"};
+  Mutex shard_a1{"test::shard"};
+  Mutex shard_b1{"test::shard"};
+  Mutex shard_a2{"test::shard"};
+  Mutex shard_b2{"test::shard"};
   {
-    const MutexLock first(shard_a);
-    const MutexLock second(shard_b);
+    const MutexLock first(shard_a1);
+    const MutexLock second(shard_b1);
   }
   {
-    const MutexLock first(shard_b);
-    const MutexLock second(shard_a);
+    const MutexLock first(shard_b2);
+    const MutexLock second(shard_a2);
   }
   EXPECT_EQ(lock_order::edge_count(), 0u);
 }
