@@ -2,13 +2,15 @@
 // the universe sizes the solver stack actually sees.
 //
 // Universes 8/63/64/65 probe the small-buffer and word-seam regime (1–2
-// words, where the wrappers run the inlined scalar fast path and SIMD
-// cannot pay for its call); 256/1024/4096 are the large-universe regime
-// where the dispatched AVX2/AVX-512 flavours should win outright.  Each op
-// row reports scalar ns/op, dispatched ns/op and the speedup, plus a
-// checksum column proving both flavours computed identical results (the
-// bit-identity contract of support/bitset_kernels.hpp, enforced here so a
-// broken flavour fails the smoke run, not just the unit suite).
+// words, where the wrappers run the loop body in place and SIMD cannot pay
+// for its call); 256/1024/4096 are the large-universe regime where the
+// dispatched flavour (AVX-512: the loop bodies compiled for it; AVX2:
+// hand-written counting kernels) should beat the scalar loops, which run
+// with hardware popcount on x86-64.  Each op row reports scalar ns/op,
+// dispatched ns/op and the speedup, plus a checksum column proving both
+// flavours computed identical results (the bit-identity contract of
+// support/bitset_kernels.hpp, enforced here so a broken flavour fails the
+// smoke run, not just the unit suite).
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -178,7 +180,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::printf(
-      "\nWrappers inline the scalar loop for <= %zu words, so universes "
+      "\nWrappers run the loop body in place for <= %zu words, so universes "
       "<= 128 never pay the dispatch call; speedups above show the table "
       "flavours head-to-head.\n",
       kernels::kInlineWords);

@@ -3,7 +3,7 @@
 // performed for all tasks at a time.  With all boundaries aligned, the
 // fully synchronised MT-Switch cost decomposes over intervals:
 //
-//   cost([i,j)) = combine_hyper_j(v_j [+ changeover_j])
+//   cost([i,j)) = combine_hyper_j(v_j)
 //               + combine_reconfig_j(|U_j(i,j)| + priv_j(i,j)) · (j − i)
 //
 // (combine = max for task-parallel upload, Σ for task-sequential; the public
@@ -21,9 +21,10 @@
 // bit-identical best[] and parent[]) and usually prices a handful of starts
 // per end.
 //
-// Changeover costs are supported only for aligned schedules with hyper
-// upload task-sequential (the per-task Δ terms add); for task-parallel the
-// combine of (v_j + Δ_j) is used.
+// Precondition: no changeover costs.  A changeover term depends on each
+// task's previous hypercontext, so the cost no longer decomposes over
+// intervals; solve_aligned_dp rejects options.changeover with a
+// PreconditionError.
 //
 // Exactness on general (unaligned) schedules
 // ------------------------------------------
@@ -60,9 +61,10 @@
 
 namespace hyperrec {
 
-/// Exact aligned-boundary solution under the instance's evaluation options.
-/// Costs saturate at kCostInfinity (support/cost_math.hpp) instead of
-/// wrapping; when every candidate saturates the single interval wins.
+/// Exact aligned-boundary solution under the instance's evaluation options,
+/// which must not enable changeover costs.  Costs saturate at kCostInfinity
+/// (support/cost_math.hpp) instead of wrapping; when every candidate
+/// saturates the single interval wins.
 [[nodiscard]] MTSolution solve_aligned_dp(const SolveInstance& instance);
 
 /// True when solve_aligned_dp is optimal over *all* schedules of the

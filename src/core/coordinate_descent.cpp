@@ -1,7 +1,7 @@
 #include "core/coordinate_descent.hpp"
 
 #include "core/aligned_dp.hpp"
-#include "support/bitset_kernels.hpp"
+#include "core/interval_dp.hpp"
 #include "support/cost_math.hpp"
 
 namespace hyperrec {
@@ -74,42 +74,20 @@ Partition optimize_task(const SolveInstance& instance,
     max_reconfig = std::max(max_reconfig, r);
   }
 
-  // Single-word fast path mirrors interval_dp: hoist each step's local
-  // requirement word and private demand into contiguous arrays so the
-  // O(n²) pair loop touches no bitset storage.
-  const bool single_word = task.local_universe() <= DynamicBitset::kWordBits;
-  using Word = DynamicBitset::Word;
-  std::vector<Word> locals;
-  std::vector<std::uint32_t> demands;
-  if (single_word) {
-    locals.assign(n, 0);
-    demands.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const ContextRequirement& req = task.at(i);
-      if (!req.local.words().empty()) locals[i] = req.local.words().front();
-      demands[i] = req.private_demand;
-    }
-  }
+  // Union sizes come from the interval DPs' shared source; this DP has no
+  // early exit, so every scan runs to start 0.
+  const std::span<const ContextRequirement> steps = task.requirements();
+  const TaskTrace* const tasks[] = {&task};
+  detail::UnionScan unions(tasks, 0, n);
 
   // lint: hot-loop begin
-  DynamicBitset running(task.local_universe());
   for (std::size_t end = 1; end <= n; ++end) {
-    running.reset_all();
-    Word running_word = 0;
-    std::size_t union_size = 0;
     std::uint32_t max_priv = 0;
-    for (std::size_t start = end; start-- > 0;) {
-      if (single_word) {
-        const Word local = locals[start];
-        union_size += kernels::popcount_word(local & ~running_word);
-        running_word |= local;
-        max_priv = std::max(max_priv, demands[start]);
-      } else {
-        union_size += running.merge_counting(task.at(start).local);
-        max_priv = std::max(max_priv, task.at(start).private_demand);
-      }
-      const Cost size =
-          static_cast<Cost>(union_size) + static_cast<Cost>(max_priv);
+    unions.scan<1>(end, [&](std::size_t start,
+                            std::span<const std::size_t> union_sizes) {
+      max_priv = std::max(max_priv, steps[start].private_demand);
+      const Cost size = static_cast<Cost>(union_sizes[0]) +
+                        static_cast<Cost>(max_priv);
 
       const Cost hyper_with =
           combine(options.hyper_upload, profile.hyper[start], v);
@@ -130,7 +108,8 @@ Partition optimize_task(const SolveInstance& instance,
         best[end] = candidate;
         parent[end] = start;
       }
-    }
+      return true;
+    });
   }
   // lint: hot-loop end
 

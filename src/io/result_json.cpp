@@ -6,39 +6,37 @@
 
 namespace hyperrec::io {
 
-namespace {
-
-/// RFC 8259 string escaping: quote, backslash and control characters; all
-/// other bytes pass through (UTF-8 payloads stay intact).
-void write_escaped(std::ostream& os, const std::string& text) {
-  os << '"';
+std::string json_quote(const std::string& text) {
+  std::string out = "\"";
   for (const char c : text) {
     switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\b': os << "\\b"; break;
-      case '\f': os << "\\f"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buffer[8];
           std::snprintf(buffer, sizeof(buffer), "\\u%04x",
                         static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buffer;
+          out += buffer;
         } else {
-          os << c;
+          out.push_back(c);
         }
     }
   }
-  os << '"';
+  out.push_back('"');
+  return out;
 }
 
+namespace {
+
 void write_entry(std::ostream& os, const engine::PortfolioEntry& entry) {
-  os << "{\"name\":";
-  write_escaped(os, entry.solver);
-  os << ",\"ok\":" << (entry.ok ? "true" : "false")
+  os << "{\"name\":" << json_quote(entry.solver)
+     << ",\"ok\":" << (entry.ok ? "true" : "false")
      << ",\"total\":" << entry.total
      << ",\"elapsed_us\":" << entry.elapsed.count() << '}';
 }
@@ -57,11 +55,9 @@ void write_window(std::ostream& os, const streaming::WindowReport& window) {
   os << "{\"index\":" << window.index << ",\"trigger\":\""
      << streaming::to_string(window.trigger) << '"'
      << ",\"lo\":" << window.window_lo << ",\"hi\":" << window.window_hi
-     << ",\"ok\":" << (window.ok ? "true" : "false") << ",\"error\":";
-  write_escaped(os, window.error);
-  os << ",\"winner\":";
-  write_escaped(os, window.winner);
-  os << ",\"cache\":\"" << window_cache_outcome(window) << '"'
+     << ",\"ok\":" << (window.ok ? "true" : "false") << ",\"error\":"
+     << json_quote(window.error) << ",\"winner\":" << json_quote(window.winner)
+     << ",\"cache\":\"" << window_cache_outcome(window) << '"'
      << ",\"warm_started\":" << (window.warm_started ? "true" : "false")
      << ",\"elapsed_us\":" << window.elapsed.count()
      << ",\"window_cost\":" << window.window_cost
@@ -70,13 +66,11 @@ void write_window(std::ostream& os, const streaming::WindowReport& window) {
 }
 
 void write_job(std::ostream& os, const engine::JobResult& job) {
-  os << "{\"index\":" << job.index << ",\"name\":";
-  write_escaped(os, job.name);
-  os << ",\"ok\":" << (job.ok ? "true" : "false") << ",\"error\":";
-  write_escaped(os, job.error);
-  os << ",\"winner\":";
-  write_escaped(os, job.winner);
-  os << ",\"cache\":\"" << engine::to_string(job.cache) << '"'
+  os << "{\"index\":" << job.index << ",\"name\":" << json_quote(job.name)
+     << ",\"ok\":" << (job.ok ? "true" : "false")
+     << ",\"error\":" << json_quote(job.error)
+     << ",\"winner\":" << json_quote(job.winner)
+     << ",\"cache\":\"" << engine::to_string(job.cache) << '"'
      << ",\"warm_started\":" << (job.warm_started ? "true" : "false")
      << ",\"streamed\":" << (job.streamed ? "true" : "false");
   const CostBreakdown& cost = job.solution.breakdown;
@@ -156,7 +150,7 @@ void save_batch_result_json(std::ostream& os,
      << ",\"elapsed_us\":" << result.elapsed.count()
      << ",\"job_count\":" << result.jobs.size() << ",\"tenant\":";
   if (service != nullptr) {
-    write_escaped(os, service->tenant);
+    os << json_quote(service->tenant);
   } else {
     os << "null";
   }

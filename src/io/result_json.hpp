@@ -124,4 +124,10 @@ void save_batch_result_json(std::ostream& os,
     const engine::BatchResult& result,
     const ServiceFields* service = nullptr);
 
+/// `text` escaped per RFC 8259 and wrapped in quotes: quote, backslash and
+/// control characters are escaped; all other bytes pass through (UTF-8
+/// payloads stay intact).  The one JSON string escaper of the CLI and
+/// daemon documents.
+[[nodiscard]] std::string json_quote(const std::string& text);
+
 }  // namespace hyperrec::io

@@ -1,12 +1,12 @@
 #include "service/protocol.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <initializer_list>
 #include <limits>
 #include <optional>
 #include <string_view>
 
+#include "io/result_json.hpp"
 #include "service/json.hpp"
 #include "support/ensure.hpp"
 #include "support/rng.hpp"
@@ -425,44 +425,18 @@ engine::BatchJob make_job(const JobSpec& spec) {
   return job;
 }
 
-std::string json_quote(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
 namespace {
 
 std::string service_prefix(const std::string& id) {
   return "{\"schema\":\"hyperrec-service\",\"version\":1,\"id\":" +
-         json_quote(id);
+         io::json_quote(id);
 }
 
 }  // namespace
 
 std::string error_line(const std::string& id, const std::string& message) {
   return service_prefix(id) + ",\"ok\":false,\"error\":" +
-         json_quote(message) + "}";
+         io::json_quote(message) + "}";
 }
 
 std::string reject_line(const std::string& id, RejectReason reason,

@@ -120,7 +120,4 @@ struct Request {
 [[nodiscard]] std::string stream_opened_line(const std::string& id,
                                              std::size_t stream);
 
-/// Escapes `text` per RFC 8259 and wraps it in quotes.
-[[nodiscard]] std::string json_quote(const std::string& text);
-
 }  // namespace hyperrec::service

@@ -299,7 +299,7 @@ std::string SolveService::handle_stream_result(const Request& request) {
   const streaming::StreamSummary& row = rows[request.stream];
   std::ostringstream os;
   os << "{\"schema\":\"hyperrec-service\",\"version\":1,\"id\":"
-     << json_quote(request.id) << ",\"ok\":true,\"stream\":" << row.id
+     << io::json_quote(request.id) << ",\"ok\":true,\"stream\":" << row.id
      << ",\"steps\":" << row.steps << ",\"resolves\":" << row.resolves
      << ",\"failed_windows\":" << row.failed_windows
      << ",\"epoch\":" << row.epoch
@@ -383,7 +383,7 @@ std::string SolveService::statz_json() const {
     for (const auto& [name, wins] : solver_wins_) {
       if (!first) os << ',';
       first = false;
-      os << "{\"name\":" << json_quote(name) << ",\"wins\":" << wins << '}';
+      os << "{\"name\":" << io::json_quote(name) << ",\"wins\":" << wins << '}';
     }
     certified = certified_;
     gap_sum = gap_sum_pct_;
@@ -398,7 +398,7 @@ std::string SolveService::statz_json() const {
   for (const auto& [name, counters] : tenant_rows) {
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":" << json_quote(name)
+    os << "{\"name\":" << io::json_quote(name)
        << ",\"received\":" << counters.received
        << ",\"admitted\":" << counters.admitted
        << ",\"rejected_rate\":" << counters.rejected_rate

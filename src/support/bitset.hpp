@@ -3,9 +3,10 @@
 // This is the core data structure of the library: context requirements and
 // hypercontexts in the switch cost model (Lange/Middendorf 2004, §2 and §4)
 // are subsets of a fixed universe of reconfigurable units ("switches"), and
-// every solver manipulates unions, intersections, differences and popcounts
-// of such subsets.  std::bitset has a compile-time size and std::vector<bool>
-// has no word-level algebra, hence this class.
+// every solver manipulates unions, union sizes, symmetric-difference sizes
+// and subset tests of such subsets.  std::bitset has a compile-time size and
+// std::vector<bool> has no word-level algebra, hence this class.  It offers
+// only the algebra the solvers use.
 //
 // Storage: small-buffer optimised.  A universe of <= 64 bits lives in a
 // single inline word — no heap allocation at all, which is where most
@@ -15,9 +16,9 @@
 // array.  `words()` exposes the storage as a {pointer, length} span either
 // way.
 //
-// All word loops route through support/bitset_kernels.hpp — the runtime-
-// dispatched scalar/AVX2/AVX-512 kernel layer — with an inlined scalar fast
-// path for the 1–2 word cases.
+// All word loops route through support/bitset_kernels.hpp — one loop body
+// per kernel, run in place for 1–2 words and through the runtime-dispatched
+// scalar/AVX2/AVX-512 table beyond.
 //
 // All binary operations require both operands to have the same size() and
 // throw PreconditionError otherwise.
@@ -141,41 +142,10 @@ class DynamicBitset {
     kernels::or_words(data(), data(), other.data(), nwords_);
     return *this;
   }
-  DynamicBitset& operator&=(const DynamicBitset& other) {
-    check_same_size(other);
-    kernels::and_words(data(), data(), other.data(), nwords_);
-    return *this;
-  }
-  DynamicBitset& operator^=(const DynamicBitset& other) {
-    check_same_size(other);
-    kernels::xor_words(data(), data(), other.data(), nwords_);
-    return *this;
-  }
-  /// Set difference: removes every bit that is set in `other`.
-  DynamicBitset& operator-=(const DynamicBitset& other) {
-    check_same_size(other);
-    kernels::andnot_words(data(), data(), other.data(), nwords_);
-    return *this;
-  }
 
   [[nodiscard]] friend DynamicBitset operator|(DynamicBitset a,
                                                const DynamicBitset& b) {
     a |= b;
-    return a;
-  }
-  [[nodiscard]] friend DynamicBitset operator&(DynamicBitset a,
-                                               const DynamicBitset& b) {
-    a &= b;
-    return a;
-  }
-  [[nodiscard]] friend DynamicBitset operator^(DynamicBitset a,
-                                               const DynamicBitset& b) {
-    a ^= b;
-    return a;
-  }
-  [[nodiscard]] friend DynamicBitset operator-(DynamicBitset a,
-                                               const DynamicBitset& b) {
-    a -= b;
     return a;
   }
 
@@ -195,12 +165,6 @@ class DynamicBitset {
     return kernels::subset(data(), other.data(), nwords_);
   }
 
-  /// True iff the two sets share at least one element.
-  [[nodiscard]] bool intersects(const DynamicBitset& other) const {
-    check_same_size(other);
-    return kernels::intersects(data(), other.data(), nwords_);
-  }
-
   /// |this ∪ other| without materialising the union.
   [[nodiscard]] std::size_t union_count(const DynamicBitset& other) const {
     check_same_size(other);
@@ -216,6 +180,7 @@ class DynamicBitset {
 
   /// In-place union that also returns the number of bits newly added —
   /// lets interval DPs maintain running union popcounts in O(words).
+  /// `other` must not be this set.
   std::size_t merge_counting(const DynamicBitset& other) {
     check_same_size(other);
     return kernels::or_merge_count(data(), other.data(), nwords_);

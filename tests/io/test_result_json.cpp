@@ -425,6 +425,15 @@ TEST(ResultJson, HostileStringsAreEscapedAndStillValidJson) {
   EXPECT_NE(json.find("naïve-ütf8"), std::string::npos);
 }
 
+TEST(ResultJson, JsonQuoteEscapesQuotesBackslashesAndControls) {
+  EXPECT_EQ(json_quote(""), "\"\"");
+  EXPECT_EQ(json_quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(json_quote("\b\f\n\r\t"), "\"\\b\\f\\n\\r\\t\"");
+  EXPECT_EQ(json_quote(std::string("\x00\x1f", 2)), "\"\\u0000\\u001f\"");
+  // DEL and UTF-8 bytes pass through unescaped.
+  EXPECT_EQ(json_quote("\x7f naïve"), "\"\x7f naïve\"");
+}
+
 TEST(ResultJson, RealEngineOutputParsesAndIsNaNFree) {
   std::vector<engine::BatchJob> jobs;
   for (auto& instance :

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "io/result_json.hpp"
 #include "service/json.hpp"
 #include "service/protocol.hpp"
 #include "support/ensure.hpp"
@@ -97,7 +98,7 @@ class Rewriter {
       case JsonValue::Kind::kDouble:
         ADD_FAILURE() << "the valid lines hold no doubles";
         return;
-      case JsonValue::Kind::kString: out += json_quote(value.as_string()); return;
+      case JsonValue::Kind::kString: out += io::json_quote(value.as_string()); return;
       case JsonValue::Kind::kArray: {
         out += '[';
         bool first = true;
@@ -123,7 +124,7 @@ class Rewriter {
         for (const JsonObject::value_type* member : members) {
           if (!first) out += ',';
           first = false;
-          out += json_quote(member->first) + ':';
+          out += io::json_quote(member->first) + ':';
           write(member->second, out);
         }
         out += '}';

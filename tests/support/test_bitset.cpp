@@ -150,29 +150,11 @@ TEST(DynamicBitset, UnionOperator) {
   EXPECT_EQ((a | b).to_string(), "1110");
 }
 
-TEST(DynamicBitset, IntersectionOperator) {
-  auto a = DynamicBitset::from_string("1100");
-  auto b = DynamicBitset::from_string("1010");
-  EXPECT_EQ((a & b).to_string(), "1000");
-}
-
-TEST(DynamicBitset, SymmetricDifferenceOperator) {
-  auto a = DynamicBitset::from_string("1100");
-  auto b = DynamicBitset::from_string("1010");
-  EXPECT_EQ((a ^ b).to_string(), "0110");
-}
-
-TEST(DynamicBitset, DifferenceOperator) {
-  auto a = DynamicBitset::from_string("1110");
-  auto b = DynamicBitset::from_string("0100");
-  EXPECT_EQ((a - b).to_string(), "1010");
-}
-
 TEST(DynamicBitset, MixedSizeOperandsThrow) {
   DynamicBitset a(10);
   DynamicBitset b(11);
   EXPECT_THROW(a |= b, PreconditionError);
-  EXPECT_THROW(a &= b, PreconditionError);
+  EXPECT_THROW((void)a.symmetric_difference_count(b), PreconditionError);
   EXPECT_THROW((void)a.subset_of(b), PreconditionError);
   EXPECT_THROW((void)a.union_count(b), PreconditionError);
 }
@@ -190,14 +172,6 @@ TEST(DynamicBitset, EmptySetIsSubsetOfEverything) {
   auto b = DynamicBitset::from_string("10101010");
   EXPECT_TRUE(empty.subset_of(b));
   EXPECT_TRUE(empty.subset_of(empty));
-}
-
-TEST(DynamicBitset, IntersectsDetectsSharedBit) {
-  auto a = DynamicBitset::from_string("1000");
-  auto b = DynamicBitset::from_string("1100");
-  auto c = DynamicBitset::from_string("0011");
-  EXPECT_TRUE(a.intersects(b));
-  EXPECT_FALSE(a.intersects(c));
 }
 
 TEST(DynamicBitset, UnionCountWithoutMaterialising) {
@@ -302,8 +276,10 @@ TEST(DynamicBitset, RandomizedUnionCountAgreesWithMaterialisedUnion) {
       if (rng.flip(0.3)) a.set(i);
       if (rng.flip(0.3)) b.set(i);
     }
+    std::size_t differ = 0;
+    for (std::size_t i = 0; i < 150; ++i) differ += a.test(i) != b.test(i);
     EXPECT_EQ(a.union_count(b), (a | b).count());
-    EXPECT_EQ(a.symmetric_difference_count(b), (a ^ b).count());
+    EXPECT_EQ(a.symmetric_difference_count(b), differ);
   }
 }
 
