@@ -209,12 +209,55 @@ bool check_solver(const NamedSolver& solver, const SolveInstance& instance,
   return true;
 }
 
+/// Empty when the stream's final breakdown and its last published cost
+/// agree with evaluate_fully_sync_switch over its own trace (or both
+/// reject the schedule); else what differs.
+std::string check_stream_pricing(const streaming::StreamingEngine& stream,
+                                  const FuzzInstance& fuzz) {
+  CostBreakdown streamed;
+  CostBreakdown evaluated;
+  std::string streamed_error;
+  std::string evaluated_error;
+  try {
+    streamed = stream.current_solution().breakdown;
+  } catch (const std::exception& error) {
+    streamed_error = error.what();
+  }
+  try {
+    evaluated = evaluate_fully_sync_switch(stream.trace(), fuzz.machine,
+                                           stream.schedule(), fuzz.options);
+  } catch (const std::exception& error) {
+    evaluated_error = error.what();
+  }
+  if (streamed_error != evaluated_error) {
+    return "stream pricing threw '" + streamed_error +
+           "' where the evaluator threw '" + evaluated_error + "'";
+  }
+  if (!streamed_error.empty()) return "";
+  if (streamed.total != evaluated.total || streamed.hyper != evaluated.hyper ||
+      streamed.reconfig != evaluated.reconfig ||
+      streamed.global_hyper != evaluated.global_hyper ||
+      streamed.partial_hyper_steps != evaluated.partial_hyper_steps) {
+    return "final breakdown (total " + std::to_string(streamed.total) +
+           ") != evaluate_fully_sync_switch over the stream's trace (total " +
+           std::to_string(evaluated.total) + ")";
+  }
+  const streaming::WindowReport& last = stream.windows().back();
+  if (last.ok && last.window_hi == stream.steps() &&
+      last.published_cost != evaluated.total) {
+    return "last published cost " + std::to_string(last.published_cost) +
+           " != evaluate_fully_sync_switch " + std::to_string(evaluated.total);
+  }
+  return "";
+}
+
 /// One --mux iteration: a random fleet rides ONE StreamMultiplexer (shared
 /// cache, interleaved appends, randomized window/trigger/shard geometry) and
 /// every stream's published windows, schedule and cost must be bit-identical
-/// to a cache-less solo StreamingEngine replay of the same trace.  The
-/// oracle here is the solo engine, not solve_exhaustive — the mux fuzz hunts
-/// sequencing/coalescing bugs, not cost-model bugs.
+/// to a cache-less solo StreamingEngine replay of the same trace.  The solo
+/// replay would share any pricing bug of the engine, so each stream's final
+/// breakdown (priced from its last splice seam) must also equal the one-shot
+/// evaluator over the stream's own trace.
 bool check_mux_iteration(std::uint64_t seed) {
   Xoshiro256 rng(seed * 0x9E3779B97F4A7C15ull + 0xF1EE7);
 
@@ -306,6 +349,9 @@ bool check_mux_iteration(std::uint64_t seed) {
           what = "final cost " +
                  std::to_string(muxed.current_solution().total()) +
                  " != solo " + std::to_string(solo.current_solution().total());
+        }
+        if (what.empty() && !muxed.schedule().tasks.empty()) {
+          what = check_stream_pricing(muxed, fleet[j]);
         }
       }
     }

@@ -111,12 +111,15 @@ std::string Fingerprint128::to_hex() const {
 }
 
 Fingerprint128 fingerprint_bytes(std::string_view bytes) {
-  std::uint64_t hi = kOffsetHi;
-  std::uint64_t lo = kOffsetLo;
+  return fingerprint_extend({kOffsetHi, kOffsetLo}, bytes);
+}
+
+Fingerprint128 fingerprint_extend(Fingerprint128 state,
+                                  std::string_view bytes) {
   for (const char c : bytes) {
-    fnv1a_absorb(hi, lo, static_cast<std::uint8_t>(c));
+    fnv1a_absorb(state.hi, state.lo, static_cast<std::uint8_t>(c));
   }
-  return {hi, lo};
+  return state;
 }
 
 std::string canonical_instance_key(const MultiTaskTrace& trace,

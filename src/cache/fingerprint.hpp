@@ -54,6 +54,13 @@ struct Fingerprint128Hash {
 /// halves).
 [[nodiscard]] Fingerprint128 fingerprint_bytes(std::string_view bytes);
 
+/// Continues FNV-1a-128 from `state` over more bytes.  The hash is a byte
+/// fold whose state is the fingerprint itself, so
+/// fingerprint_extend(fingerprint_bytes(a), b) == fingerprint_bytes(a + b):
+/// a key that grows by a tag costs the tag's bytes, not a rehash.
+[[nodiscard]] Fingerprint128 fingerprint_extend(Fingerprint128 state,
+                                                std::string_view bytes);
+
 /// Canonical byte encoding of a solve instance (key v2, see above).
 /// Injective by construction: every field of the trace (universes, step
 /// counts, local bits, private demands), the machine (task specs, global

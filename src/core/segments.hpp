@@ -1,10 +1,10 @@
 // Global blocks (§3, §4).  A global hyperreconfiguration (cost w) starts a
 // block: it re-assigns the private-global quotas and makes every task
 // hyperreconfigure, so a schedule's cost splits into independent blocks,
-// each bound by the quota rule MultiTaskTraceStats::block_quota_sum ≤ g —
-// read from a solve's built tables and a stream's appended ones alike.
-// solve_private_global, solve_hierarchical and StreamingEngine share the
-// block DP and the schedule stitch below.
+// each bound by the quota rule MultiTaskTraceStats::block_quota_sum ≤ g.
+// solve_private_global and solve_hierarchical share the block DP and the
+// schedule stitch below; a stream splices its window in place instead
+// (Partition::replace_tail).
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "model/cost_switch.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "model/instance.hpp"
 #include "model/trace_stats.hpp"
@@ -9,138 +10,18 @@ namespace hyperrec {
 
 namespace {
 
-/// What pricing a schedule needs of its intervals, from one of two sources
-/// (one pass over the trace, or the interval tables): each interval's size
-/// |U| + priv, task after task; under changeover the unions themselves; and
-/// with a private-global pool, each global block's quota sum Σ_j peak_j.
-struct IntervalFacts {
-  struct TaskCursor {
-    std::size_t offset = 0;  ///< task's first entry in sizes
-    std::size_t k = 0;       ///< interval index at the current step
-  };
-  std::vector<TaskCursor> cursors;
-  std::vector<Cost> sizes;
-  std::vector<std::vector<DynamicBitset>> unions;  ///< [j][k], changeover
-  std::vector<std::uint64_t> block_quotas;         ///< per block, pool > 0
-};
-
-/// One pass over a task's steps: ORs each step of an interval into a
-/// running union and tracks its peak private demand, then calls
-/// visit(start, union, peak) once at the interval's end.
-template <typename Visit>
-void for_each_interval(const TaskTrace& task, const Partition& partition,
-                       Visit&& visit) {
-  DynamicBitset running(task.local_universe());
-  for (std::size_t k = 0; k < partition.interval_count(); ++k) {
-    const auto [start, end] = partition.interval_bounds(k);
-    running.reset_all();
-    std::uint32_t peak = 0;
-    for (std::size_t i = start; i < end; ++i) {
-      const ContextRequirement& req = task.at(i);
-      running |= req.local;
-      peak = std::max(peak, req.private_demand);
-    }
-    visit(start, running, peak);
+/// One pass over task steps [start, end): ORs their local requirements into
+/// `local` (cleared first) and returns their peak private demand.
+std::uint32_t scan_interval(const TaskTrace& task, std::size_t start,
+                            std::size_t end, DynamicBitset& local) {
+  local.reset_all();
+  std::uint32_t peak = 0;
+  for (std::size_t i = start; i < end; ++i) {
+    const ContextRequirement& req = task.at(i);
+    local |= req.local;
+    peak = std::max(peak, req.private_demand);
   }
-}
-
-/// Gathers IntervalFacts task by task.  intervals_of(j, add) calls
-/// add(start, |U|, peak, union_of) for each interval of task j in order;
-/// union_of() yields the union and is called only under changeover.  A
-/// validated global boundary is a boundary of every task, so each interval
-/// lies inside one block and a task's block quota is the peak of its
-/// intervals there.  (The asynchronous evaluator's single block, at most
-/// one global boundary, spans each task's own length.)
-template <typename IntervalsOf>
-IntervalFacts collect_facts(const MultiTaskSchedule& schedule,
-                            bool changeover, std::uint64_t pool,
-                            IntervalsOf&& intervals_of) {
-  const std::vector<std::size_t>& bounds = schedule.global_boundaries;
-  const std::size_t m = schedule.tasks.size();
-  IntervalFacts facts;
-  facts.cursors.resize(m);
-  std::size_t total_intervals = 0;
-  for (const Partition& partition : schedule.tasks) {
-    total_intervals += partition.interval_count();
-  }
-  facts.sizes.reserve(total_intervals);
-  if (changeover) facts.unions.resize(m);
-  if (pool > 0) {
-    facts.block_quotas.assign(std::max<std::size_t>(1, bounds.size()), 0);
-  }
-  for (std::size_t j = 0; j < m; ++j) {
-    facts.cursors[j].offset = facts.sizes.size();
-    if (changeover) facts.unions[j].reserve(schedule.tasks[j].interval_count());
-    std::size_t block = 0;
-    std::uint32_t block_peak = 0;
-    intervals_of(j, [&](std::size_t start, std::size_t count,
-                        std::uint32_t peak, const auto& union_of) {
-      facts.sizes.push_back(static_cast<Cost>(count) +
-                            static_cast<Cost>(peak));
-      if (changeover) facts.unions[j].push_back(union_of());
-      if (pool == 0) return;
-      while (block + 1 < bounds.size() && bounds[block + 1] <= start) {
-        facts.block_quotas[block++] += block_peak;
-        block_peak = 0;
-      }
-      block_peak = std::max(block_peak, peak);
-    });
-    if (pool > 0) facts.block_quotas[block] += block_peak;
-  }
-  return facts;
-}
-
-/// Interval facts from one pass over every task's steps; builds no tables.
-IntervalFacts facts_from_pass(const MultiTaskTrace& trace,
-                              const MultiTaskSchedule& schedule,
-                              bool changeover, std::uint64_t pool) {
-  return collect_facts(
-      schedule, changeover, pool, [&](std::size_t j, const auto& add) {
-        for_each_interval(trace.task(j), schedule.tasks[j],
-                          [&](std::size_t start, const DynamicBitset& local,
-                              std::uint32_t peak) {
-                            add(start, local.count(), peak,
-                                [&local] { return local; });
-                          });
-      });
-}
-
-/// Interval facts from the tables, O(words) per interval: for callers that
-/// price many schedules of one trace.
-IntervalFacts facts_from_tables(const MultiTaskTraceStats& stats,
-                                const MultiTaskSchedule& schedule,
-                                bool changeover, std::uint64_t pool) {
-  return collect_facts(
-      schedule, changeover, pool, [&](std::size_t j, const auto& add) {
-        const TaskTraceStats& task = stats.task(j);
-        const Partition& partition = schedule.tasks[j];
-        for (std::size_t k = 0; k < partition.interval_count(); ++k) {
-          const auto [start, end] = partition.interval_bounds(k);
-          add(start, task.local_union_count(start, end),
-              task.max_private_demand(start, end),
-              [&task, start = start, end = end] {
-                return task.local_union(start, end);
-              });
-        }
-      });
-}
-
-/// Cost of task j's local hyperreconfiguration into interval k, including
-/// the optional changeover term against the previous hypercontext (the
-/// first one diffs against ∅).
-Cost local_hyper_cost(const MachineSpec& machine, std::size_t j,
-                      const IntervalFacts& facts, std::size_t k,
-                      bool changeover) {
-  Cost cost = machine.tasks[j].local_init;
-  if (changeover) {
-    const std::vector<DynamicBitset>& unions = facts.unions[j];
-    const DynamicBitset& current = unions[k];
-    cost = cost_add(
-        cost, static_cast<Cost>(
-                  k == 0 ? current.count()
-                         : current.symmetric_difference_count(unions[k - 1])));
-  }
-  return cost;
+  return peak;
 }
 
 /// Shape checks of the §4.2 evaluator, shared by both sources of facts.
@@ -149,7 +30,160 @@ void check_fully_sync(const MultiTaskTrace& trace, const MachineSpec& machine,
   machine.validate_trace(trace);
   HYPERREC_ENSURE(trace.synchronized(),
                   "fully synchronised evaluation requires equal-length traces");
-  schedule.validate(trace.task_count(), trace.steps());
+  detail::check_schedule(machine, schedule, trace.steps());
+}
+
+/// True iff every task starts an interval at `step` and, on machines with
+/// global resources, a global hyperreconfiguration happens there.
+bool is_seam(const MachineSpec& machine, const MultiTaskSchedule& schedule,
+             std::size_t step) {
+  for (const Partition& partition : schedule.tasks) {
+    if (!std::binary_search(partition.starts().begin(),
+                            partition.starts().end(), step)) {
+      return false;
+    }
+  }
+  const std::vector<std::size_t>& bounds = schedule.global_boundaries;
+  return !machine.has_global_resources() ||
+         std::binary_search(bounds.begin(), bounds.end(), step);
+}
+
+/// One task's place in the walk.
+struct TaskWalk {
+  std::size_t next = 0;           ///< index of its next interval start
+  Cost size = 0;                  ///< |U| + priv of its current interval
+  std::uint32_t block_peak = 0;   ///< peak demand in the current block
+  DynamicBitset local;            ///< the union of the interval entered
+  DynamicBitset previous;         ///< changeover: the current interval's union
+};
+
+/// The §4.2 step walk of a checked schedule over n steps, from seam `from`
+/// to `to` (a seam or n).  Entering an interval [l, end), a task asks
+/// interval_of(j, l, end, local) for its union size and peak demand; under
+/// changeover it must also leave the union in `local`.  A global block's
+/// quota (§3: Σ_j peak_j ≤ g) is checked when the block closes — no block
+/// crosses a seam, so the blocks walked are whole.
+template <typename IntervalOf>
+detail::Seam walk_steps(const MachineSpec& machine,
+                        const MultiTaskSchedule& schedule,
+                        const EvalOptions& options, const detail::Seam& from,
+                        std::size_t to, std::size_t n,
+                        IntervalOf&& interval_of) {
+  HYPERREC_ENSURE(from.step <= to && to <= n, "walk range out of bounds");
+  if (from.step == to) return from;
+  HYPERREC_ENSURE(is_seam(machine, schedule, from.step) &&
+                      (to == n || is_seam(machine, schedule, to)),
+                  "a walk runs from a seam to a seam or the end: steps where "
+                  "every task, and on machines with global resources a "
+                  "global hyperreconfiguration, starts an interval");
+  HYPERREC_ENSURE(!options.changeover || from.step == 0 ||
+                      from.hypercontexts.size() == schedule.tasks.size(),
+                  "a changeover walk resumes with every task's hypercontext");
+  const std::size_t m = schedule.tasks.size();
+  std::vector<TaskWalk> walks(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::vector<std::size_t>& starts = schedule.tasks[j].starts();
+    walks[j].next = static_cast<std::size_t>(
+        std::lower_bound(starts.begin(), starts.end(), from.step) -
+        starts.begin());
+    walks[j].local = DynamicBitset(machine.tasks[j].local_switches);
+    // The first hypercontext diffs against ∅; a resumed one against the
+    // seam's.
+    if (options.changeover) {
+      walks[j].previous = from.step == 0 ? walks[j].local
+                                         : from.hypercontexts[j];
+    }
+  }
+  const auto close_block = [&] {
+    std::uint64_t quota = 0;
+    for (TaskWalk& walk : walks) {
+      quota += walk.block_peak;
+      walk.block_peak = 0;
+    }
+    HYPERREC_ENSURE(quota <= machine.private_global_units,
+                    "private-global demand exceeds the unit pool within a "
+                    "global block; insert a global hyperreconfiguration");
+  };
+
+  const std::vector<std::size_t>& bounds = schedule.global_boundaries;
+  auto global = std::lower_bound(bounds.begin(), bounds.end(), from.step);
+  detail::Seam at{to, from.sums, {}};
+  CostBreakdown& sums = at.sums;
+  for (std::size_t l = from.step; l < to; ++l) {
+    if (global != bounds.end() && *global == l) {
+      if (l > from.step) close_block();
+      sums.global_hyper = cost_add(sums.global_hyper, machine.global_init);
+      ++global;
+    }
+    bool any_boundary = false;
+    Cost hyper_term = 0;
+    // |h^pub| participates in the max for task-parallel upload and is added
+    // once for task-sequential — both are the combine starting value.
+    Cost reconfig_term = static_cast<Cost>(machine.public_context_size);
+    for (std::size_t j = 0; j < m; ++j) {
+      TaskWalk& walk = walks[j];
+      // Starts are sorted and walked in step order, so the next one is the
+      // only candidate: no per-step search.
+      const std::vector<std::size_t>& starts = schedule.tasks[j].starts();
+      if (walk.next < starts.size() && starts[walk.next] == l) {
+        ++walk.next;
+        const std::size_t end =
+            walk.next < starts.size() ? starts[walk.next] : n;
+        const auto [count, peak] = interval_of(j, l, end, walk.local);
+        walk.size = static_cast<Cost>(count) + static_cast<Cost>(peak);
+        walk.block_peak = std::max(walk.block_peak, peak);
+        // A local hyperreconfiguration costs v_j, plus under changeover
+        // |h_new Δ h_old|.
+        Cost cost = machine.tasks[j].local_init;
+        if (options.changeover) {
+          cost = cost_add(cost, static_cast<Cost>(
+                                    walk.local.symmetric_difference_count(
+                                        walk.previous)));
+          std::swap(walk.local, walk.previous);
+        }
+        any_boundary = true;
+        hyper_term = detail::combine(options.hyper_upload, hyper_term, cost);
+      }
+      reconfig_term =
+          detail::combine(options.reconfig_upload, reconfig_term, walk.size);
+    }
+    if (any_boundary) ++sums.partial_hyper_steps;
+    sums.hyper = cost_add(sums.hyper, hyper_term);
+    sums.reconfig = cost_add(sums.reconfig, reconfig_term);
+  }
+  close_block();
+  // Saturating sums: a total beyond the sentinel reads as kCostInfinity
+  // instead of wrapping.
+  sums.total = cost_add(cost_add(sums.hyper, sums.reconfig), sums.global_hyper);
+  if (options.changeover) {
+    for (TaskWalk& walk : walks) {
+      at.hypercontexts.push_back(std::move(walk.previous));
+    }
+  }
+  return at;
+}
+
+}  // namespace
+
+namespace detail {
+
+Seam walk_fully_sync(const MultiTaskTrace& trace, const MachineSpec& machine,
+                     const MultiTaskSchedule& schedule,
+                     const EvalOptions& options, const Seam& from,
+                     std::size_t to) {
+  // Interval facts from one pass over the walked steps.
+  return walk_steps(machine, schedule, options, from, to, trace.steps(),
+                    [&](std::size_t j, std::size_t start, std::size_t end,
+                        DynamicBitset& local) {
+                      const std::uint32_t peak =
+                          scan_interval(trace.task(j), start, end, local);
+                      return std::pair{local.count(), peak};
+                    });
+}
+
+void check_schedule(const MachineSpec& machine,
+                    const MultiTaskSchedule& schedule, std::size_t n) {
+  schedule.validate(machine.task_count(), n);
   if (machine.has_global_resources()) {
     HYPERREC_ENSURE(!schedule.global_boundaries.empty() &&
                         schedule.global_boundaries.front() == 0,
@@ -162,80 +196,27 @@ void check_fully_sync(const MultiTaskTrace& trace, const MachineSpec& machine,
   }
 }
 
-/// The §4.2 step walk over a checked schedule's interval facts, whichever
-/// source filled them.
-CostBreakdown price_steps(const MachineSpec& machine,
-                          const MultiTaskSchedule& schedule,
-                          const EvalOptions& options, IntervalFacts facts,
-                          std::size_t n) {
-  // §3 quota rule: within every global block the per-task private quotas
-  // must fit into the machine's pool of g units.
-  for (const std::uint64_t quota : facts.block_quotas) {
-    HYPERREC_ENSURE(quota <= machine.private_global_units,
-                    "private-global demand exceeds the unit pool within a "
-                    "global block; insert a global hyperreconfiguration");
-  }
-
-  const std::vector<std::size_t>& bounds = schedule.global_boundaries;
-  const std::size_t m = schedule.tasks.size();
-  CostBreakdown breakdown;
-  for (std::size_t l = 0; l < n; ++l) {
-    bool any_boundary = false;
-    Cost hyper_term = 0;
-    // |h^pub| participates in the max for task-parallel upload and is added
-    // once for task-sequential — both are the combine starting value.
-    Cost reconfig_term = static_cast<Cost>(machine.public_context_size);
-
-    for (std::size_t j = 0; j < m; ++j) {
-      const Partition& partition = schedule.tasks[j];
-      IntervalFacts::TaskCursor& cursor = facts.cursors[j];
-      // The cursor knows the next boundary (starts are sorted and walked in
-      // step order), so no per-step binary search.
-      const std::size_t next = cursor.k + 1;
-      const bool boundary =
-          l == 0 || (next < partition.interval_count() &&
-                     partition.starts()[next] == l);
-      if (boundary && l > 0) cursor.k = next;
-      if (boundary) {
-        any_boundary = true;
-        hyper_term = detail::combine(
-            options.hyper_upload, hyper_term,
-            local_hyper_cost(machine, j, facts, cursor.k, options.changeover));
-      }
-      reconfig_term = detail::combine(options.reconfig_upload, reconfig_term,
-                                      facts.sizes[cursor.offset + cursor.k]);
-    }
-
-    if (any_boundary) ++breakdown.partial_hyper_steps;
-    breakdown.hyper = cost_add(breakdown.hyper, hyper_term);
-    breakdown.reconfig = cost_add(breakdown.reconfig, reconfig_term);
-    if (std::binary_search(bounds.begin(), bounds.end(), l)) {
-      breakdown.global_hyper =
-          cost_add(breakdown.global_hyper, machine.global_init);
-    }
-  }
-  // Saturating sums: a total beyond the sentinel reads as kCostInfinity
-  // instead of wrapping.
-  breakdown.total = cost_add(cost_add(breakdown.hyper, breakdown.reconfig),
-                             breakdown.global_hyper);
-  return breakdown;
-}
-
-}  // namespace
-
-namespace detail {
-
 CostBreakdown evaluate_fully_sync(const MultiTaskTrace& trace,
                                   const MultiTaskTraceStats& stats,
                                   const MachineSpec& machine,
                                   const MultiTaskSchedule& schedule,
                                   const EvalOptions& options) {
   check_fully_sync(trace, machine, schedule);
-  return price_steps(
-      machine, schedule, options,
-      facts_from_tables(stats, schedule, options.changeover,
-                        machine.private_global_units),
-      trace.steps());
+  return walk_steps(machine, schedule, options, Seam{}, trace.steps(),
+                    trace.steps(),
+                    [&](std::size_t j, std::size_t start, std::size_t end,
+                        DynamicBitset& local) {
+                      const TaskTraceStats& task = stats.task(j);
+                      if (options.changeover) {
+                        local = task.local_union(start, end);
+                      }
+                      return std::pair{
+                          options.changeover
+                              ? local.count()
+                              : task.local_union_count(start, end),
+                          task.max_private_demand(start, end)};
+                    })
+      .sums;
 }
 
 }  // namespace detail
@@ -250,11 +231,12 @@ std::vector<std::vector<LocalHypercontext>> derive_local_hypercontexts(
     HYPERREC_ENSURE(partition.n() == trace.task(j).size(),
                     "schedule step count mismatch for task");
     result[j].reserve(partition.interval_count());
-    for_each_interval(trace.task(j), partition,
-                      [&](std::size_t, const DynamicBitset& local,
-                          std::uint32_t peak) {
-                        result[j].push_back(LocalHypercontext{local, peak});
-                      });
+    DynamicBitset local(trace.task(j).local_universe());
+    for (std::size_t k = 0; k < partition.interval_count(); ++k) {
+      const auto [start, end] = partition.interval_bounds(k);
+      const std::uint32_t peak = scan_interval(trace.task(j), start, end, local);
+      result[j].push_back(LocalHypercontext{local, peak});
+    }
   }
   return result;
 }
@@ -264,10 +246,9 @@ CostBreakdown evaluate_fully_sync_switch(const MultiTaskTrace& trace,
                                          const MultiTaskSchedule& schedule,
                                          const EvalOptions& options) {
   check_fully_sync(trace, machine, schedule);
-  return price_steps(machine, schedule, options,
-                     facts_from_pass(trace, schedule, options.changeover,
-                                     machine.private_global_units),
-                     trace.steps());
+  return detail::walk_fully_sync(trace, machine, schedule, options,
+                                 detail::Seam{}, trace.steps())
+      .sums;
 }
 
 CostBreakdown evaluate_fully_sync_switch(const SolveInstance& instance,
@@ -293,30 +274,37 @@ AsyncCostBreakdown evaluate_async_switch(const MultiTaskTrace& trace,
                     "schedule step count mismatch for task");
   }
 
-  const IntervalFacts facts = facts_from_pass(
-      trace, schedule, options.changeover, machine.private_global_units);
-  // Private feasibility over the single block.
-  for (const std::uint64_t quota : facts.block_quotas) {
-    HYPERREC_ENSURE(quota <= machine.private_global_units,
-                    "private-global demand exceeds the unit pool");
-  }
-
   AsyncCostBreakdown breakdown;
   breakdown.per_task.resize(trace.task_count(), 0);
+  std::uint64_t quota = 0;  // the single block's Σ_j peak_j
   for (std::size_t j = 0; j < trace.task_count(); ++j) {
     const Partition& partition = schedule.tasks[j];
+    DynamicBitset local(trace.task(j).local_universe());
+    DynamicBitset previous = local;  // the first hypercontext diffs against ∅
+    std::uint32_t task_peak = 0;
     Cost total = 0;
     for (std::size_t k = 0; k < partition.interval_count(); ++k) {
       const auto [start, end] = partition.interval_bounds(k);
+      const std::uint32_t peak = scan_interval(trace.task(j), start, end, local);
+      task_peak = std::max(task_peak, peak);
+      const Cost size = static_cast<Cost>(local.count()) + peak;
       // Saturating sums, as in the §4.2 evaluator: a near-maximum v_j reads
       // as kCostInfinity instead of wrapping.
-      total = cost_add(total, local_hyper_cost(machine, j, facts, k,
-                                               options.changeover));
-      const Cost size = facts.sizes[facts.cursors[j].offset + k];
+      Cost hyper = machine.tasks[j].local_init;
+      if (options.changeover) {
+        hyper = cost_add(hyper, static_cast<Cost>(
+                                    local.symmetric_difference_count(previous)));
+        std::swap(local, previous);
+      }
+      total = cost_add(total, hyper);
       total = cost_add(total, cost_mul(size, static_cast<Cost>(end - start)));
     }
     breakdown.per_task[j] = total;
+    quota += task_peak;
   }
+  // Private feasibility over the single block.
+  HYPERREC_ENSURE(quota <= machine.private_global_units,
+                  "private-global demand exceeds the unit pool");
   breakdown.global_hyper =
       machine.has_global_resources() ? machine.global_init : 0;
   const Cost slowest = breakdown.per_task.empty()

@@ -96,13 +96,45 @@ namespace detail {
                                            : cost_add(acc, value);
 }
 
+/// The §4.2 cost is a sum of per-step terms, so its step walk can stop and
+/// resume at a seam: a step where every task starts an interval (and, on
+/// machines with global resources, a global block).  No interval or block
+/// crosses a seam, so this state is all the walk after it needs.  Step 0
+/// is the seam of every schedule, with the default state.
+struct Seam {
+  std::size_t step = 0;
+  /// Running sums over [0, step), each folded step by step with cost_add
+  /// exactly as one walk from step 0 folds it; total is their sum.
+  CostBreakdown sums;
+  /// Changeover only: each task's hypercontext of the interval ending at
+  /// `step` (empty at step 0, where the first one diffs against ∅).
+  std::vector<DynamicBitset> hypercontexts;
+};
+
+/// Continues the §4.2 step walk of `schedule` from seam `from` to `to` (a
+/// seam or the trace's end) in one pass over those steps, checking the
+/// quota of each block there, and returns the state at `to`: any chain of
+/// walks from Seam{} to the end gives evaluate_fully_sync_switch's
+/// breakdown.  The trace and the schedule's shape are not checked, so a
+/// caller that validated them (a stream validates each step on ingest and
+/// each window piece before it splices) pays O(to − from.step) steps.
+[[nodiscard]] Seam walk_fully_sync(const MultiTaskTrace& trace,
+                                   const MachineSpec& machine,
+                                   const MultiTaskSchedule& schedule,
+                                   const EvalOptions& options,
+                                   const Seam& from, std::size_t to);
+
+/// The §4.2 evaluator's schedule checks over n steps: the shape, and a
+/// global boundary at step 0 exactly on machines with global resources.
+void check_schedule(const MachineSpec& machine,
+                    const MultiTaskSchedule& schedule, std::size_t n);
+
 /// Table-backed §4.2 evaluator: the same checks and the same step walk as
 /// evaluate_fully_sync_switch (bit-identical CostBreakdown), but each
 /// interval's facts come from `stats`, a MultiTaskTraceStats of exactly
 /// trace's steps — O(words) per interval instead of O(length·words).  For
 /// callers that price many schedules: the metaheuristics, coordinate
-/// descent and exhaustive search pass instance.stats(), and the streaming
-/// engine passes the tables it appends to step by step.
+/// descent and exhaustive search pass instance.stats().
 [[nodiscard]] CostBreakdown evaluate_fully_sync(
     const MultiTaskTrace& trace, const MultiTaskTraceStats& stats,
     const MachineSpec& machine, const MultiTaskSchedule& schedule,

@@ -75,6 +75,21 @@ void Partition::extend(std::size_t new_n) {
   n_ = new_n;
 }
 
+void Partition::replace_tail(std::size_t lo, std::span<const std::size_t> tail,
+                             std::size_t shift, std::size_t n) {
+  HYPERREC_ENSURE(0 < n && lo <= n, "partition splice beyond its steps");
+  HYPERREC_ENSURE(lo > 0 || (!tail.empty() && tail.front() + shift == 0),
+                  "partition must contain a boundary at step 0");
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    HYPERREC_ENSURE(tail[i] + shift >= lo && (i == 0 || tail[i - 1] < tail[i]),
+                    "partition starts must be strictly increasing");
+  }
+  HYPERREC_ENSURE(tail.empty() || tail.back() + shift < n,
+                  "partition start beyond last step");
+  hyperrec::replace_tail(starts_, lo, tail, shift);
+  n_ = n;
+}
+
 DynamicBitset Partition::to_boundary_mask() const {
   DynamicBitset mask(n_);
   for (const std::size_t s : starts_) mask.set(s);
@@ -121,6 +136,19 @@ void MultiTaskSchedule::validate(std::size_t m, std::size_t n) const {
                       "in every task");
     }
   }
+}
+
+void replace_tail(std::vector<std::size_t>& steps, std::size_t lo,
+                  std::span<const std::size_t> tail, std::size_t shift) {
+  const auto kept = static_cast<std::size_t>(
+      std::lower_bound(steps.begin(), steps.end(), lo) - steps.begin());
+  // Grow geometrically, as push_back would: an exact reserve would copy
+  // the whole list on every splice that lengthens it.
+  if (kept + tail.size() > steps.capacity()) {
+    steps.reserve(std::max(kept + tail.size(), 2 * steps.capacity()));
+  }
+  steps.resize(kept);
+  for (const std::size_t s : tail) steps.push_back(s + shift);
 }
 
 }  // namespace hyperrec

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -65,6 +66,16 @@ class Partition {
   /// not copy the starts.
   void extend(std::size_t new_n);
 
+  /// Replaces the starts at or after `lo` with `tail`'s, each plus `shift`,
+  /// and covers `n` steps.  replace_tail(lo, w.starts(), lo, lo + w.n())
+  /// gives what stitch gives for this partition's first lo steps followed
+  /// by partition w, in O(replaced + tail) instead of O(starts); the same
+  /// call with the replaced starts, shift 0 and the old n undoes it without
+  /// allocating.  Checks only that the result is a partition; a throw
+  /// leaves it unchanged.
+  void replace_tail(std::size_t lo, std::span<const std::size_t> tail,
+                    std::size_t shift, std::size_t n);
+
   /// Boundary bitmask over [0, n).
   [[nodiscard]] DynamicBitset to_boundary_mask() const;
 
@@ -99,5 +110,10 @@ struct MultiTaskSchedule {
   /// Validates shape against a step count and task count; throws on error.
   void validate(std::size_t m, std::size_t n) const;
 };
+
+/// Partition::replace_tail's edit for a sorted list of steps such as the
+/// global boundaries, unchecked; it allocates before it changes anything.
+void replace_tail(std::vector<std::size_t>& steps, std::size_t lo,
+                  std::span<const std::size_t> tail, std::size_t shift);
 
 }  // namespace hyperrec

@@ -21,28 +21,21 @@
 // size of its local-requirement union and its peak private demand (§2,
 // §4.2).  Nothing else is built.
 //
-// One table serves solves and streams.  Building it from a trace fills it
-// level by level in O(n·log n·words); append() adds one step by writing one
-// new row per level, O(log n·words), so a stream that grows step by step
-// keeps the same tables a fresh build over its steps would give (operator==
-// compares every row).  Each table is one flat arena with its levels
-// concatenated; a built table is laid out for exactly its steps, and
-// append() regrows the arena geometrically when it is full.
+// The tables are built once, level by level in O(n·log n·words), laid out
+// for exactly their trace's steps: each table is one flat arena with its
+// levels concatenated.  operator== compares every row.
 //
-// MultiTaskTraceStats bundles one TaskTraceStats per task and, for
-// synchronized traces, the per-step sums of private demands across tasks
-// (with an O(1) range-max view) — a fast necessary condition for the §3
-// private-global feasibility check.  append_step() grows every table by one
-// synchronized step.
+// MultiTaskTraceStats bundles one TaskTraceStats per task, and answers the
+// §3 quota question of a global block (block_quota_sum) from them.
 //
 // The tables copy what they need from the trace and keep no pointer into
 // it.  They pay off for callers that query many intervals of one trace
 // (greedy, coordinate descent, the metaheuristics, exhaustive search, the
-// segmented solves, streams); pricing one schedule is cheaper as one pass
-// over its steps (model/cost_switch.hpp), which builds no tables.
+// segmented solves); pricing one schedule is cheaper as one pass over its
+// steps (model/cost_switch.hpp), which builds no tables — and a stream
+// prices each splice as such a pass from its last seam, so it keeps none.
 // SolveInstance (model/instance.hpp) owns the trace and builds its stats
-// on first use, once, for whichever solver asks first; StreamingEngine
-// appends each step to its trace and to its stats.
+// on first use, once, for whichever solver asks first.
 #pragma once
 
 #include <algorithm>
@@ -69,27 +62,16 @@ namespace detail {
 /// Interval-query tables for one task's trace.
 class TaskTraceStats {
  public:
-  /// Empty table over no switches; assign a built one or append to it.
-  TaskTraceStats() = default;
-
-  /// Empty table over `universe` local switches, grown by append().
-  explicit TaskTraceStats(std::size_t universe);
-
   /// Builds both tables over `trace` in O(n·log n·words).
   explicit TaskTraceStats(const TaskTrace& trace);
 
-  /// Appends one step; O(log n·words), amortized over arena regrowths.
-  /// The requirement must share the table's universe.
-  void append(const ContextRequirement& req);
-
   /// True iff both tables cover the same steps of the same universe and
-  /// every row of both tables is equal.  Arena capacity is not compared.
-  [[nodiscard]] bool operator==(const TaskTraceStats& other) const;
+  /// every row of both tables is equal (each arena holds exactly its
+  /// steps' rows).
+  [[nodiscard]] bool operator==(const TaskTraceStats&) const = default;
 
   [[nodiscard]] std::size_t steps() const noexcept { return steps_; }
   [[nodiscard]] std::size_t universe() const noexcept { return universe_; }
-  /// Steps the arenas hold before append() regrows them.
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Union of local requirements over [lo, hi); O(universe/64).
   [[nodiscard]] DynamicBitset local_union(std::size_t lo,
@@ -149,10 +131,6 @@ class TaskTraceStats {
     return union_rows_.data() + row(k, i) * words_;
   }
 
-  /// Lays both arenas out for `capacity` steps, keeping every row written
-  /// so far.
-  void relayout(std::size_t capacity);
-
   /// The two overlapping table rows whose OR covers the non-empty range
   /// [lo, hi) — the one copy of the seam-prone span arithmetic shared by
   /// every union query.
@@ -169,11 +147,10 @@ class TaskTraceStats {
   std::size_t steps_ = 0;
   std::size_t universe_ = 0;
   std::size_t words_ = 0;
-  std::size_t capacity_ = 0;
   /// Per-level row offsets into the flat arenas below (all levels share one
   /// allocation each — a table is built once per instance on the batch
   /// engine's per-job path, so construction stays allocation-lean).  Level
-  /// k has room for capacity_ - 2^k + 1 rows.
+  /// k holds steps_ - 2^k + 1 rows.
   std::vector<std::size_t> level_row_start_;
   /// Interval-union rows, `words_` words each, levels concatenated.
   std::vector<DynamicBitset::Word> union_rows_;
@@ -181,21 +158,14 @@ class TaskTraceStats {
   std::vector<std::uint32_t> priv_rows_;
 };
 
-/// Per-task stats for all tasks of a multi-task trace, plus cross-task
-/// per-step demand sums on synchronized traces.
+/// Per-task stats for all tasks of a multi-task trace.
 class MultiTaskTraceStats {
  public:
   MultiTaskTraceStats() = default;
   explicit MultiTaskTraceStats(const MultiTaskTrace& trace);
 
-  /// Appends one synchronized step (requirement j goes to task j) to every
-  /// table.  Requires at least one task and a synchronized trace; checks
-  /// every requirement's universe before any table changes, so a rejected
-  /// step leaves the stats as they were.
-  void append_step(const std::vector<ContextRequirement>& step);
-
-  /// True iff every per-task table and every demand row is equal.
-  [[nodiscard]] bool operator==(const MultiTaskTraceStats& other) const;
+  /// True iff every per-task table is equal.
+  [[nodiscard]] bool operator==(const MultiTaskTraceStats&) const = default;
 
   [[nodiscard]] std::size_t task_count() const noexcept {
     return tasks_.size();
@@ -204,16 +174,6 @@ class MultiTaskTraceStats {
     HYPERREC_ENSURE(j < tasks_.size(), "task index out of range");
     return tasks_[j];
   }
-  [[nodiscard]] bool synchronized() const noexcept { return synchronized_; }
-
-  /// Σ_j private demand of task j at step i (synchronized traces only).
-  [[nodiscard]] std::uint64_t step_demand_sum(std::size_t i) const;
-
-  /// max over steps [lo, hi) of step_demand_sum — an O(1) *lower bound* on
-  /// the §3 per-block quota sum Σ_j max_j (a block whose max step sum
-  /// already exceeds the pool is infeasible without any per-task queries).
-  [[nodiscard]] std::uint64_t max_step_demand_sum(std::size_t lo,
-                                                  std::size_t hi) const;
 
   /// §3 quota rule: a global block over [lo, hi) gives each task its peak
   /// private demand there as quota, and fits iff the quotas' sum ≤ g.
@@ -228,10 +188,6 @@ class MultiTaskTraceStats {
 
  private:
   std::vector<TaskTraceStats> tasks_;
-  bool synchronized_ = true;
-  /// demand_levels_[k][i] = max over steps [i, i + 2^k) of the per-step
-  /// sums; level 0 holds the sums themselves.
-  std::vector<std::vector<std::uint64_t>> demand_levels_;
 };
 
 }  // namespace hyperrec

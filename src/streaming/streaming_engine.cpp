@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "cache/fingerprint.hpp"
-#include "core/segments.hpp"
 #include "support/ensure.hpp"
 
 namespace hyperrec::streaming {
@@ -48,8 +47,64 @@ void mix_seed_into_key(cache::InstanceKey& key,
     }
   }
   key.canonical += tag;
-  key.fingerprint = cache::fingerprint_bytes(key.canonical);
+  // FNV-1a's state is the fingerprint: continue it over the tag instead of
+  // rehashing the whole canonical key.
+  key.fingerprint = cache::fingerprint_extend(key.fingerprint, tag);
   // key.shape stays untouched: the warm-start index still matches on shape.
+}
+
+/// What a splice at a seam replaces of a schedule: its starts and global
+/// boundaries from the seam on — O(window) on a stream — and the steps it
+/// covers (0 for an empty schedule).
+struct Replaced {
+  std::vector<std::vector<std::size_t>> starts;
+  std::vector<std::size_t> global_boundaries;
+  std::size_t n = 0;
+};
+
+Replaced replaced_from(const MultiTaskSchedule& schedule, std::size_t lo) {
+  Replaced replaced;
+  if (schedule.tasks.empty()) return replaced;
+  replaced.n = schedule.tasks.front().n();
+  for (const Partition& partition : schedule.tasks) {
+    const std::vector<std::size_t>& starts = partition.starts();
+    replaced.starts.emplace_back(
+        std::lower_bound(starts.begin(), starts.end(), lo), starts.end());
+  }
+  const std::vector<std::size_t>& bounds = schedule.global_boundaries;
+  replaced.global_boundaries.assign(
+      std::lower_bound(bounds.begin(), bounds.end(), lo), bounds.end());
+  return replaced;
+}
+
+/// Splices `window` onto `schedule` at step lo in place: the starts and
+/// global boundaries before lo stay, the window's take over from lo
+/// (Partition::replace_tail).  An empty schedule becomes the window.
+void splice(MultiTaskSchedule& schedule, std::size_t lo,
+            const MultiTaskSchedule& window) {
+  if (schedule.tasks.empty()) {
+    schedule = window;
+    return;
+  }
+  const std::size_t n = lo + window.tasks.front().n();
+  for (std::size_t j = 0; j < schedule.tasks.size(); ++j) {
+    schedule.tasks[j].replace_tail(lo, window.tasks[j].starts(), lo, n);
+  }
+  replace_tail(schedule.global_boundaries, lo, window.global_boundaries, lo);
+}
+
+/// Undoes a splice at lo, whole or in part, from what it replaced.
+/// Allocates nothing: each vector held the replaced entries before.
+void restore(MultiTaskSchedule& schedule, std::size_t lo,
+             const Replaced& replaced) {
+  if (replaced.n == 0) {
+    schedule = MultiTaskSchedule{};
+    return;
+  }
+  for (std::size_t j = 0; j < schedule.tasks.size(); ++j) {
+    schedule.tasks[j].replace_tail(lo, replaced.starts[j], 0, replaced.n);
+  }
+  replace_tail(schedule.global_boundaries, lo, replaced.global_boundaries, 0);
 }
 
 }  // namespace
@@ -72,8 +127,7 @@ StreamingEngine::StreamingEngine(MachineSpec machine, EvalOptions options,
     : machine_(std::move(machine)),
       options_(options),
       config_(std::move(config)),
-      trace_(empty_trace(machine_)),
-      stats_(trace_) {
+      trace_(empty_trace(machine_)) {
   HYPERREC_ENSURE(machine_.task_count() > 0,
                   "streaming engine needs at least one task");
   HYPERREC_ENSURE(config_.window >= 1, "window must be at least 1");
@@ -87,6 +141,9 @@ StreamingEngine::StreamingEngine(MachineSpec machine, EvalOptions options,
       rent_or_buy_.emplace_back(task.local_switches, task.local_init,
                                 config_.trigger.rent_or_buy_config);
     }
+  }
+  if (machine_.private_global_units > 0) {
+    block_peaks_.assign(machine_.task_count(), 0);
   }
 }
 
@@ -119,10 +176,16 @@ std::optional<TriggerKind> StreamingEngine::ingest(
     }
   }
 
-  stats_.append_step(step);
   trace_.append_step(std::move(step));
   ++pending_;
   const std::size_t n = trace_.steps();
+  // The running trigger state takes the step only now that it is in: a
+  // rejected step leaves the engine as if it had never been sent.
+  for (std::size_t j = 0; j < block_peaks_.size(); ++j) {
+    block_peaks_[j] =
+        std::max(block_peaks_[j], trace_.task(j).at(n - 1).private_demand);
+  }
+  const bool spiked = demand_spiked(n - 1);
 
   if (n == 1) {
     // The first step must always produce a published schedule.
@@ -143,12 +206,11 @@ std::optional<TriggerKind> StreamingEngine::ingest(
   // the block's Σ_j max demand now overflows the pool the §4.2 evaluator
   // would reject the schedule.  Re-solving forces a global boundary at the
   // splice seam, sealing the overflowing block off.  O(tasks) per step via
-  // the appended range maxima.
-  if (machine_.private_global_units > 0 && !published_.tasks.empty()) {
-    const std::size_t block_lo = published_.global_boundaries.empty()
-                                     ? 0
-                                     : published_.global_boundaries.back();
-    if (stats_.block_quota_sum(block_lo, n) > machine_.private_global_units) {
+  // the running block peaks.
+  if (!block_peaks_.empty() && !published_.tasks.empty()) {
+    std::uint64_t quota = 0;
+    for (const std::uint32_t peak : block_peaks_) quota += peak;
+    if (quota > machine_.private_global_units) {
       return TriggerKind::kQuotaRepair;
     }
   }
@@ -157,19 +219,8 @@ std::optional<TriggerKind> StreamingEngine::ingest(
   if (trigger.every_steps > 0 && pending_ >= trigger.every_steps) {
     return TriggerKind::kStepCount;
   }
-  if (trigger.spike_factor > 0.0) {
-    const std::uint64_t fresh = stats_.step_demand_sum(n - 1);
-    // Baseline: the trailing `window` steps of the *current* trace, fresh
-    // step excluded.  An absolute floor keeps an all-quiet baseline (max 0)
-    // from firing on the first trickle of demand.
-    const std::size_t base_lo =
-        n - 1 > config_.window ? n - 1 - config_.window : 0;
-    const std::uint64_t baseline = stats_.max_step_demand_sum(base_lo, n - 1);
-    if (fresh >= trigger.spike_min_demand &&
-        static_cast<double>(fresh) >
-            trigger.spike_factor * static_cast<double>(baseline)) {
-      return TriggerKind::kDemandSpike;
-    }
+  if (spiked) {
+    return TriggerKind::kDemandSpike;
   }
   if (trigger.rent_or_buy && bought) {
     return TriggerKind::kRentOrBuy;
@@ -178,6 +229,32 @@ std::optional<TriggerKind> StreamingEngine::ingest(
     return TriggerKind::kDeadlineTick;
   }
   return std::nullopt;
+}
+
+bool StreamingEngine::demand_spiked(std::size_t i) {
+  const TriggerConfig& trigger = config_.trigger;
+  if (trigger.spike_factor <= 0.0) return false;
+  std::uint64_t fresh = 0;
+  for (std::size_t j = 0; j < trace_.task_count(); ++j) {
+    fresh += trace_.task(j).at(i).private_demand;
+  }
+  // Baseline: the trailing `window` steps of the *current* trace, fresh
+  // step excluded — the deque's front once the steps before them are gone.
+  while (!demand_peaks_.empty() &&
+         demand_peaks_.front().first + config_.window < i) {
+    demand_peaks_.pop_front();
+  }
+  const std::uint64_t baseline =
+      demand_peaks_.empty() ? 0 : demand_peaks_.front().second;
+  while (!demand_peaks_.empty() && demand_peaks_.back().second <= fresh) {
+    demand_peaks_.pop_back();
+  }
+  demand_peaks_.emplace_back(i, fresh);
+  // An absolute floor keeps an all-quiet baseline (max 0) from firing on
+  // the first trickle of demand.
+  return fresh >= trigger.spike_min_demand &&
+         static_cast<double>(fresh) >
+             trigger.spike_factor * static_cast<double>(baseline);
 }
 
 bool StreamingEngine::append_step(std::vector<ContextRequirement> step) {
@@ -226,9 +303,13 @@ MultiTaskSchedule StreamingEngine::warm_seed(std::size_t lo,
   // so this is exactly the "previous window's schedule" seed.
   MultiTaskSchedule seed;
   for (const Partition& partition : published_.tasks) {
+    // The starts after lo, found by binary search: a long stream's history
+    // is not scanned.
+    const std::vector<std::size_t>& all = partition.starts();
     std::vector<std::size_t> starts{0};
-    for (const std::size_t s : partition.starts()) {
-      if (s > lo && s < hi) starts.push_back(s - lo);
+    for (auto it = std::upper_bound(all.begin(), all.end(), lo);
+         it != all.end() && *it < hi; ++it) {
+      starts.push_back(*it - lo);
     }
     seed.tasks.push_back(Partition::from_starts(std::move(starts), hi - lo));
   }
@@ -314,29 +395,51 @@ void StreamingEngine::resolve_window(TriggerKind trigger,
     }
     report.window_cost = window_solution.total();
 
-    // Splice: the published boundaries before the window stay frozen, the
-    // window schedule is shifted onto [lo, hi).  On machines with global
-    // resources the window schedule has a global boundary at its step 0 (the
-    // evaluator demands one), so no quota block spans the seam.
-    std::vector<SchedulePiece> pieces;
-    if (lo > 0) pieces.push_back({0, published_, lo});
-    pieces.push_back({lo, window_solution.schedule, hi - lo});
-    MultiTaskSchedule spliced = stitch(pieces);
-    for (const Partition& partition : spliced.tasks) {
+    // Splice in place: the published boundaries before the window stay
+    // frozen and the window schedule takes over from lo.  The frozen prefix
+    // was checked when it was published, so only the window piece is
+    // checked, before published_ changes.  On machines with global
+    // resources the window schedule has a global boundary at its step 0, so
+    // lo is a seam: every task starts an interval there and no quota block
+    // spans it.
+    hyperrec::detail::check_schedule(machine_, window_solution.schedule,
+                                     hi - lo);
+    const Replaced replaced = replaced_from(published_, lo);
+    hyperrec::detail::Seam seam;
+    CostBreakdown full;
+    try {
+      splice(published_, lo, window_solution.schedule);
+      // Price from the last seam: walk [seam_, lo) for the state at the new
+      // seam, then [lo, hi) — bit-identical to evaluating the whole splice.
+      seam = hyperrec::detail::walk_fully_sync(trace_, machine_, published_,
+                                               options_, seam_, lo);
+      full = hyperrec::detail::walk_fully_sync(trace_, machine_, published_,
+                                               options_, seam, hi)
+                 .sums;
+    } catch (...) {
+      restore(published_, lo, replaced);  // publish nothing on a throw
+      throw;
+    }
+    seam_ = std::move(seam);
+    // The last quota block now starts at or after lo: its peaks span at
+    // most the window.
+    if (!block_peaks_.empty()) {
+      const std::size_t block_lo = published_.global_boundaries.back();
+      for (std::size_t j = 0; j < block_peaks_.size(); ++j) {
+        block_peaks_[j] = 0;
+        for (std::size_t i = block_lo; i < hi; ++i) {
+          block_peaks_[j] =
+              std::max(block_peaks_[j], trace_.task(j).at(i).private_demand);
+        }
+      }
+    }
+    for (const Partition& partition : published_.tasks) {
       const std::vector<std::size_t>& starts = partition.starts();
       report.splice_prefix_boundaries += static_cast<std::size_t>(
           std::lower_bound(starts.begin(), starts.end(), lo) - starts.begin());
     }
-    // Priced on the engine's own appended tables — bit-identical to
-    // evaluate_fully_sync_switch over the trace, which would build a second
-    // set of tables over all n steps on every re-solve.
-    CostBreakdown full = hyperrec::detail::evaluate_fully_sync(
-        trace_, stats_, machine_, spliced, options_);
-    // Publish only after the spliced schedule validated and evaluated —
-    // a throw above leaves the previous published schedule untouched.
-    published_ = std::move(spliced);
     report.published_cost = full.total;
-    published_breakdown_ = std::move(full);
+    published_breakdown_ = full;
     report.ok = true;
     pending_ = 0;
     last_solve_ = Clock::now();
@@ -355,12 +458,14 @@ MTSolution StreamingEngine::current_solution() const {
   MTSolution solution;
   solution.schedule = published_;
   // The last re-solve already evaluated exactly this schedule over exactly
-  // this trace; only appends invalidate that breakdown.
+  // this trace; only appends invalidate that breakdown, and then the walk
+  // resumes at the last seam.
   solution.breakdown = published_breakdown_.has_value()
                            ? *published_breakdown_
-                           : hyperrec::detail::evaluate_fully_sync(
-                                 trace_, stats_, machine_, published_,
-                                 options_);
+                           : hyperrec::detail::walk_fully_sync(
+                                 trace_, machine_, published_, options_,
+                                 seam_, trace_.steps())
+                                 .sums;
   return solution;
 }
 

@@ -10,39 +10,44 @@
 // the win comes from *not* re-solving from scratch; this engine implements
 // that recipe on top of the existing stack:
 //
-//   trace grows ──► MultiTaskTraceStats::append_step (one row per table
-//        │          level per step; O(1) pre-checks)
+//   trace grows ──► validated step appended; O(tasks) running trigger
+//        │          state (each task's peak demand in the last quota
+//        │          block, a monotone deque of the trailing demand sums)
 //        │
-//        ├── triggers: step count / demand spike (O(1) range-max) /
+//        ├── triggers: step count / demand spike / quota repair /
 //        │             rent-or-buy policy (online/) / wall-clock tick
 //        ▼
 //   re-solve the last `window` steps with the portfolio, warm-started from
 //   the previous window's schedule (and the solve cache's window-shape
 //   warm-start index when one is attached)
 //        ▼
-//   splice: published boundaries before the window stay frozen (the stable
-//   prefix), the fresh window schedule is shifted onto [w_lo, n) — one
-//   valid MultiTaskSchedule over the whole trace, swapped in atomically
-//   (a failed or cancelled window solve never tears the published schedule).
+//   splice in place: published boundaries before the window stay frozen
+//   (the stable prefix), the fresh window schedule replaces the tail from
+//   the seam w_lo; the §4.2 walk resumes at the previous seam, so a
+//   re-solve costs its window plus the steps since, not the history (a
+//   failed or cancelled window never tears the published schedule).
 //
 // Between re-solves an appended step simply extends every task's last
 // interval, so the published schedule always covers [0, steps()).
 //
-// The engine keeps its MultiTaskTrace and one MultiTaskTraceStats
-// (model/trace_stats.hpp) and appends each step to both: the triggers read
-// the tables, each window instance is a slice of the trace, and every
-// spliced schedule is priced on the tables without rebuilding them.
+// The engine keeps its MultiTaskTrace, the published schedule and the
+// walk's state at the last seam — no interval tables: each window instance
+// is a slice of the trace, and each spliced schedule is priced by one pass
+// over the steps from that seam (model/cost_switch.hpp).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/solve_cache.hpp"
 #include "engine/portfolio.hpp"
+#include "model/cost_switch.hpp"
 #include "model/instance.hpp"
 #include "online/rent_or_buy.hpp"
 #include "support/cancel.hpp"
@@ -67,7 +72,7 @@ struct TriggerConfig {
   std::size_t every_steps = 0;
   /// Re-solve when a fresh step's cross-task private-demand sum exceeds
   /// `spike_factor` x the maximum sum over the trailing `window` steps
-  /// before it (an O(1) range-max pre-check on the appended stats).
+  /// before it (kept as a monotone deque, amortized O(1) per step).
   /// The baseline tracks the *current* trailing window, not the last
   /// solved one — a frozen baseline goes stale after a quiet stretch and
   /// turns every post-lull demand step into a re-solve storm.  0 disables.
@@ -179,11 +184,6 @@ class StreamingEngine {
 
   [[nodiscard]] std::size_t steps() const { return trace_.steps(); }
   [[nodiscard]] const MultiTaskTrace& trace() const noexcept { return trace_; }
-  /// The interval tables over trace(), appended to with every step; equal
-  /// to MultiTaskTraceStats(trace()).
-  [[nodiscard]] const MultiTaskTraceStats& stats() const noexcept {
-    return stats_;
-  }
   [[nodiscard]] const MachineSpec& machine() const noexcept {
     return machine_;
   }
@@ -195,14 +195,15 @@ class StreamingEngine {
   }
 
   /// Published schedule evaluated over the full trace seen so far (reuses
-  /// the breakdown computed by the last re-solve when no steps arrived
-  /// since).  On machines with private-global resources the §4.2 evaluator
-  /// additionally enforces per-block quota feasibility: the engine forces a
-  /// repair re-solve (TriggerKind::kQuotaRepair) the moment the growing
-  /// last block overflows the pool, but while that repair window itself is
-  /// infeasible for the solver line-up (every standard solver keeps one
-  /// global block per instance) this call throws, exactly as an offline
-  /// solve of the same trace would.
+  /// the last re-solve's breakdown when no steps arrived since, else walks
+  /// on from the last splice seam).  On machines with private-global
+  /// resources the §4.2 walk additionally enforces per-block quota
+  /// feasibility: the engine forces a repair re-solve
+  /// (TriggerKind::kQuotaRepair) the moment the growing last block
+  /// overflows the pool, but while that repair window itself is infeasible
+  /// for the solver line-up (every standard solver keeps one global block
+  /// per instance) this call throws, exactly as an offline solve of the
+  /// same trace would.
   [[nodiscard]] MTSolution current_solution() const;
 
   /// One report per window re-solve, in order.
@@ -214,9 +215,13 @@ class StreamingEngine {
   }
 
  private:
-  /// Shared append path: validates, feeds the controllers and stats, runs
-  /// the trigger checks in priority order; returns the first firing trigger.
+  /// Shared append path: validates, feeds the controllers and the running
+  /// trigger state, runs the trigger checks in priority order; returns the
+  /// first firing trigger.
   std::optional<TriggerKind> ingest(std::vector<ContextRequirement> step);
+  /// Pushes step i's cross-task demand sum into the spike deque; true iff
+  /// it spiked against the trailing window before it.
+  bool demand_spiked(std::size_t i);
   void resolve_window(TriggerKind trigger, const CancelToken& cancel);
   [[nodiscard]] MultiTaskSchedule warm_seed(std::size_t lo,
                                             std::size_t hi) const;
@@ -226,8 +231,11 @@ class StreamingEngine {
   StreamingConfig config_;
 
   MultiTaskTrace trace_;  ///< every step appended so far
-  MultiTaskTraceStats stats_;
   MultiTaskSchedule published_;  ///< covers [0, steps()) once non-empty
+  /// The §4.2 walk's state at published_'s last splice seam (the empty
+  /// seam at step 0 before any): pricing resumes here.  Committed only
+  /// together with published_.
+  hyperrec::detail::Seam seam_;
   /// Breakdown of published_ over the full trace, computed by the last
   /// successful re-solve; cleared by every append (the extended schedule
   /// has a different cost).  Saves current_solution() a full re-evaluation
@@ -235,6 +243,13 @@ class StreamingEngine {
   std::optional<CostBreakdown> published_breakdown_;
   std::vector<WindowReport> windows_;
   std::vector<online::RentOrBuyScheduler> rent_or_buy_;
+  /// Quota-repair state on machines with a private-global pool: each
+  /// task's peak private demand since published_'s last global boundary.
+  std::vector<std::uint32_t> block_peaks_;
+  /// Spike-trigger state: (step, cross-task demand sum) over the trailing
+  /// `window` steps, sums strictly decreasing from front to back, so the
+  /// front holds their maximum.
+  std::deque<std::pair<std::size_t, std::uint64_t>> demand_peaks_;
 
   std::size_t pending_ = 0;  ///< steps appended since the last re-solve ran
   std::optional<TriggerKind> pending_trigger_;  ///< deferred-mode latch

@@ -31,14 +31,6 @@ DynamicBitset& DynamicBitset::reset_all() noexcept {
   return *this;
 }
 
-bool DynamicBitset::any() const noexcept {
-  const Word* words = data();
-  for (std::size_t i = 0; i < nwords_; ++i) {
-    if (words[i] != 0) return true;
-  }
-  return false;
-}
-
 std::size_t DynamicBitset::find_first() const noexcept {
   const Word* words = data();
   for (std::size_t w = 0; w < nwords_; ++w) {
@@ -93,17 +85,6 @@ DynamicBitset DynamicBitset::from_or_words(std::size_t size, const Word* a,
   kernels::or_words(result.data(), a, b, words);
   result.clear_tail();
   return result;
-}
-
-std::size_t DynamicBitset::hash() const noexcept {
-  std::size_t h = 1469598103934665603ull;
-  const Word* words = data();
-  for (std::size_t i = 0; i < nwords_; ++i) {
-    h ^= static_cast<std::size_t>(words[i]);
-    h *= 1099511628211ull;
-  }
-  h ^= size_;
-  return h;
 }
 
 void DynamicBitset::clear_tail() noexcept {

@@ -134,9 +134,6 @@ class DynamicBitset {
   /// Clears all bits.
   DynamicBitset& reset_all() noexcept;
 
-  [[nodiscard]] bool any() const noexcept;
-  [[nodiscard]] bool none() const noexcept { return !any(); }
-
   DynamicBitset& operator|=(const DynamicBitset& other) {
     check_same_size(other);
     kernels::or_words(data(), data(), other.data(), nwords_);
@@ -218,9 +215,6 @@ class DynamicBitset {
                                                    const Word* b,
                                                    std::size_t words);
 
-  /// FNV-1a over the words — for unordered_map memoisation keys.
-  [[nodiscard]] std::size_t hash() const noexcept;
-
   /// Raw word access (read-only) for bulk algorithms.  The span stays valid
   /// and stable while the bitset is alive and unmoved (inline or heap).
   [[nodiscard]] std::span<const Word> words() const noexcept {
@@ -250,12 +244,6 @@ class DynamicBitset {
   Word inline_word_ = 0;
   /// Heap storage for universes > 64; null otherwise.
   std::unique_ptr<Word[]> heap_;
-};
-
-struct DynamicBitsetHash {
-  std::size_t operator()(const DynamicBitset& b) const noexcept {
-    return b.hash();
-  }
 };
 
 }  // namespace hyperrec

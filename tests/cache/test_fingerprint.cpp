@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <string>
+#include <string_view>
 
 namespace hyperrec::cache {
 namespace {
@@ -43,6 +45,23 @@ TEST(Fingerprint, Fnv128MatchesReferenceVectors) {
   EXPECT_EQ(a1, a2);
   EXPECT_FALSE(a1 == b);
   EXPECT_FALSE(a1 == empty);
+}
+
+TEST(Fingerprint, ExtendingContinuesTheHashOverTheAppendedBytes) {
+  // FNV-1a's state is the fingerprint, so hashing a key and then a tag
+  // equals hashing the concatenation — at every split, the empty halves
+  // and bytes above 0x7f included.
+  std::string bytes = "hyperrec-instance-v2";
+  bytes.push_back('\0');
+  bytes += "|warm:sp0,3,g0,";
+  bytes.push_back(static_cast<char>(0xff));
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    const std::string_view all(bytes);
+    EXPECT_EQ(fingerprint_extend(fingerprint_bytes(all.substr(0, cut)),
+                                 all.substr(cut)),
+              fingerprint_bytes(all))
+        << "cut " << cut;
+  }
 }
 
 TEST(Fingerprint, HexIs32LowercaseHexChars) {

@@ -1,6 +1,7 @@
 // core/segments: the boundary DP against brute-force enumeration of every
-// block decomposition, the stitch against hand-built starts, and the block
-// quota rule of both stats views against the naive per-task oracle.
+// block decomposition, the stitch against hand-built starts, the in-place
+// tail splice (Partition::replace_tail) against the stitch, and the block
+// quota rule of the stats against the naive per-task oracle.
 #include "core/segments.hpp"
 
 #include <gtest/gtest.h>
@@ -239,6 +240,104 @@ TEST(Stitch, RejectsMalformedPieces) {
   EXPECT_THROW((void)stitch({{0, past_end, 2}}), PreconditionError);
 }
 
+/// A random valid schedule of m tasks over n steps; with `globals`, some
+/// steps that start an interval in every task (0 among them) are global
+/// boundaries.
+MultiTaskSchedule random_schedule(Xoshiro256& rng, std::size_t m,
+                                  std::size_t n, bool globals) {
+  DynamicBitset common(n);
+  common.set(0);
+  for (std::size_t s = 1; s < n; ++s) {
+    if (rng.flip(0.2)) common.set(s);
+  }
+  MultiTaskSchedule schedule;
+  for (std::size_t j = 0; j < m; ++j) {
+    DynamicBitset mask = common;
+    for (std::size_t s = 1; s < n; ++s) {
+      if (rng.flip(0.3)) mask.set(s);
+    }
+    schedule.tasks.push_back(Partition::from_boundary_mask(mask));
+  }
+  if (globals) {
+    common.for_each_set(
+        [&](std::size_t s) { schedule.global_boundaries.push_back(s); });
+  }
+  return schedule;
+}
+
+TEST(TailSplice, EqualsTheStitchOfPrefixAndWindow) {
+  // Splicing a window schedule onto a schedule's first lo steps in place —
+  // Partition::replace_tail on every task, replace_tail on the global
+  // boundaries — gives exactly the stitch of the same two pieces: the same
+  // starts, n() and global boundaries.  Putting the replaced entries back
+  // the same way restores the schedule.
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Xoshiro256 rng(seed * 0x7A11);
+    const std::size_t m = 1 + rng.uniform(3);
+    const std::size_t n = 1 + rng.uniform(30);
+    const bool globals = rng.flip(0.5);
+    const MultiTaskSchedule base = random_schedule(rng, m, n, globals);
+    const std::size_t lo = rng.uniform(n + 1);  // 0..n
+    const std::size_t w = 1 + rng.uniform(12);
+    const MultiTaskSchedule window = random_schedule(rng, m, w, globals);
+
+    std::vector<SchedulePiece> pieces;
+    if (lo > 0) pieces.push_back({0, base, lo});
+    pieces.push_back({lo, window, w});
+    const MultiTaskSchedule expected = stitch(pieces);
+
+    MultiTaskSchedule spliced = base;
+    std::vector<std::vector<std::size_t>> replaced(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::vector<std::size_t>& starts = base.tasks[j].starts();
+      replaced[j].assign(std::lower_bound(starts.begin(), starts.end(), lo),
+                         starts.end());
+      spliced.tasks[j].replace_tail(lo, window.tasks[j].starts(), lo, lo + w);
+    }
+    const std::vector<std::size_t>& bounds = base.global_boundaries;
+    const std::vector<std::size_t> replaced_globals(
+        std::lower_bound(bounds.begin(), bounds.end(), lo), bounds.end());
+    replace_tail(spliced.global_boundaries, lo, window.global_boundaries, lo);
+    for (std::size_t j = 0; j < m; ++j) {
+      EXPECT_EQ(spliced.tasks[j].starts(), expected.tasks[j].starts())
+          << "seed " << seed;
+      EXPECT_EQ(spliced.tasks[j].n(), expected.tasks[j].n()) << "seed " << seed;
+    }
+    EXPECT_EQ(spliced.global_boundaries, expected.global_boundaries)
+        << "seed " << seed;
+
+    for (std::size_t j = 0; j < m; ++j) {
+      spliced.tasks[j].replace_tail(lo, replaced[j], 0, n);
+      EXPECT_EQ(spliced.tasks[j].starts(), base.tasks[j].starts())
+          << "seed " << seed;
+      EXPECT_EQ(spliced.tasks[j].n(), n) << "seed " << seed;
+    }
+    replace_tail(spliced.global_boundaries, lo, replaced_globals, 0);
+    EXPECT_EQ(spliced.global_boundaries, base.global_boundaries)
+        << "seed " << seed;
+  }
+}
+
+TEST(TailSplice, RejectsTailsThatBreakThePartition) {
+  Partition partition = Partition::from_starts({0, 3, 5}, 8);
+  const std::vector<std::size_t> no_zero{1, 2};
+  const std::vector<std::size_t> unsorted{0, 2, 1};
+  const std::vector<std::size_t> window{0, 2};
+  // Nothing kept before step 0, so the tail must start there.
+  EXPECT_THROW(partition.replace_tail(0, no_zero, 0, 8), PreconditionError);
+  EXPECT_THROW(partition.replace_tail(4, unsorted, 4, 8), PreconditionError);
+  // A tail start before lo, past the end, or an end before lo.
+  EXPECT_THROW(partition.replace_tail(4, window, 2, 8), PreconditionError);
+  EXPECT_THROW(partition.replace_tail(4, window, 4, 6), PreconditionError);
+  EXPECT_THROW(partition.replace_tail(4, {}, 0, 3), PreconditionError);
+  // Each rejection left the partition as it was.
+  EXPECT_EQ(partition.starts(), (std::vector<std::size_t>{0, 3, 5}));
+  EXPECT_EQ(partition.n(), 8u);
+  partition.replace_tail(4, window, 4, 7);
+  EXPECT_EQ(partition.starts(), (std::vector<std::size_t>{0, 3, 4, 6}));
+  EXPECT_EQ(partition.n(), 7u);
+}
+
 MultiTaskTrace random_demand_trace(Xoshiro256& rng, std::size_t tasks,
                                    std::size_t steps) {
   MultiTaskTrace trace;
@@ -268,22 +367,14 @@ TEST(BlockQuotaSum, BothStatsViewsMatchTheNaiveOracle) {
     const std::size_t tasks = 1 + rng.uniform(3);
     const MultiTaskTrace trace = random_demand_trace(rng, tasks, 17);
     const MultiTaskTraceStats stats(trace);
-    MultiTaskTraceStats growing(trace.slice(0, 0));
-    for (std::size_t i = 0; i < trace.steps(); ++i) {
-      growing.append_step(trace.step(i));
-    }
     for (std::size_t lo = 0; lo <= trace.steps(); ++lo) {
       for (std::size_t hi = lo; hi <= trace.steps(); ++hi) {
-        const std::uint64_t oracle = naive_quota_sum(trace, lo, hi);
-        EXPECT_EQ(stats.block_quota_sum(lo, hi), oracle)
-            << "seed " << seed << " [" << lo << "," << hi << ")";
-        EXPECT_EQ(growing.block_quota_sum(lo, hi), oracle)
+        EXPECT_EQ(stats.block_quota_sum(lo, hi),
+                  naive_quota_sum(trace, lo, hi))
             << "seed " << seed << " [" << lo << "," << hi << ")";
       }
     }
     EXPECT_THROW((void)stats.block_quota_sum(0, trace.steps() + 1),
-                 PreconditionError);
-    EXPECT_THROW((void)growing.block_quota_sum(0, trace.steps() + 1),
                  PreconditionError);
   }
 }

@@ -1,7 +1,9 @@
 // Deterministic trigger-policy coverage for the streaming engine: each
-// trigger kind fires exactly when specified, no-trigger streams never
-// re-solve past the initial window, and a failed or cancelled window solve
-// never tears the published schedule.
+// trigger kind fires exactly when specified, the running state behind the
+// spike and quota-repair triggers decides exactly as a naive rescan of the
+// trace would, no-trigger streams never re-solve past the initial window,
+// and a failed or cancelled window solve never tears the published
+// schedule.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -12,6 +14,7 @@
 #include "model/cost_switch.hpp"
 #include "streaming/streaming_engine.hpp"
 #include "support/cancel.hpp"
+#include "support/rng.hpp"
 
 namespace hyperrec::streaming {
 namespace {
@@ -188,6 +191,128 @@ TEST(StreamingTriggers, QuotaRepairSealsAnOverflowingBlock) {
   EXPECT_TRUE(engine.windows().back().ok) << engine.windows().back().error;
   EXPECT_GT(engine.schedule().global_boundaries.size(), 1u);
   ASSERT_NO_THROW(engine.current_solution());
+}
+
+/// The trigger an engine configured as `config` (no rent-or-buy, no tick)
+/// must fire on appending step n − 1 of `demands` ([task][step]), from a
+/// naive rescan: `published_globals` are the published schedule's global
+/// boundaries (null when nothing is published) and `pending` the steps
+/// since the last successful re-solve, the appended one included.
+std::optional<TriggerKind> naive_trigger(
+    const std::vector<std::vector<std::uint32_t>>& demands, std::size_t n,
+    const MachineSpec& machine, const StreamingConfig& config,
+    const std::vector<std::size_t>* published_globals, std::size_t pending) {
+  if (n == 1) return TriggerKind::kInitial;
+  const auto step_sum = [&](std::size_t i) {
+    std::uint64_t sum = 0;
+    for (const std::vector<std::uint32_t>& task : demands) sum += task[i];
+    return sum;
+  };
+  if (machine.private_global_units > 0 && published_globals != nullptr) {
+    const std::size_t block_lo = published_globals->back();
+    std::uint64_t quota = 0;
+    for (const std::vector<std::uint32_t>& task : demands) {
+      quota += *std::max_element(task.begin() + block_lo, task.begin() + n);
+    }
+    if (quota > machine.private_global_units) return TriggerKind::kQuotaRepair;
+  }
+  const TriggerConfig& trigger = config.trigger;
+  if (trigger.every_steps > 0 && pending >= trigger.every_steps) {
+    return TriggerKind::kStepCount;
+  }
+  if (trigger.spike_factor > 0.0) {
+    const std::uint64_t fresh = step_sum(n - 1);
+    std::uint64_t baseline = 0;
+    for (std::size_t i = n - 1 > config.window ? n - 1 - config.window : 0;
+         i < n - 1; ++i) {
+      baseline = std::max(baseline, step_sum(i));
+    }
+    if (fresh >= trigger.spike_min_demand &&
+        static_cast<double>(fresh) >
+            trigger.spike_factor * static_cast<double>(baseline)) {
+      return TriggerKind::kDemandSpike;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(StreamingTriggers, SpikeAndQuotaRepairMatchANaiveScanOracle) {
+  // Fuzzed demand traces (quiet stretches, bursts, phases that overflow the
+  // pool) on private-global machines of 1–3 tasks: every append's trigger
+  // must be the naive rescan's.  Some re-solves run under a cancelled
+  // token and fail, so the published schedule (and with it the quota
+  // block) and the pending count sometimes stay put; rejected steps — a
+  // wrong universe or a demand beyond the pool — must leave the running
+  // state as if they had never been sent.
+  std::size_t fired[7] = {};
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Xoshiro256 rng(seed * 0x51CE);
+    const std::size_t tasks = 1 + rng.uniform(3);
+    MachineSpec machine =
+        MachineSpec::local_only(std::vector<std::size_t>(tasks, 4));
+    machine.private_global_units = 2 + rng.uniform(5);
+    machine.global_init = 3;
+    StreamingConfig config = base_config(1 + rng.uniform(8));
+    config.trigger.every_steps = rng.uniform(7);  // 0 disables
+    const double factors[] = {0.0, 1.0, 1.5, 2.0};
+    config.trigger.spike_factor = factors[rng.uniform(4)];
+    config.trigger.spike_min_demand =
+        static_cast<std::uint32_t>(1 + rng.uniform(2));
+    StreamingEngine engine(machine, EvalOptions{}, config);
+
+    std::vector<std::vector<std::uint32_t>> demands(tasks);
+    std::size_t pending = 0;
+    const std::size_t steps = 30 + rng.uniform(40);
+    for (std::size_t i = 0; i < steps; ++i) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(i));
+      if (rng.flip(0.1)) {
+        std::vector<ContextRequirement> bad;
+        for (std::size_t j = 0; j < tasks; ++j) {
+          bad.push_back(req_bits(4, {j % 4}, 0));
+        }
+        if (rng.flip(0.5)) {
+          bad.back() = req_bits(5, {0});
+        } else {
+          bad[rng.uniform(tasks)].private_demand =
+              static_cast<std::uint32_t>(machine.private_global_units + 1);
+        }
+        EXPECT_THROW((void)engine.append_step_deferred(std::move(bad)),
+                     PreconditionError);
+        ASSERT_EQ(engine.steps(), i);
+        ++rejected;
+      }
+      // Mostly quiet, with bursts that can spike or overflow a block.
+      std::vector<ContextRequirement> step;
+      const bool burst = rng.flip(0.15);
+      for (std::size_t j = 0; j < tasks; ++j) {
+        const auto demand = static_cast<std::uint32_t>(
+            burst ? rng.uniform(machine.private_global_units + 1)
+                  : rng.uniform(2));
+        demands[j].push_back(demand);
+        step.push_back(req_bits(4, {rng.uniform(4)}, demand));
+      }
+      const MultiTaskSchedule& published = engine.schedule();
+      const std::vector<std::size_t>* globals =
+          published.tasks.empty() ? nullptr : &published.global_boundaries;
+      ++pending;
+      const std::optional<TriggerKind> expected =
+          naive_trigger(demands, i + 1, machine, config, globals, pending);
+      const std::optional<TriggerKind> actual =
+          engine.append_step_deferred(std::move(step));
+      ASSERT_EQ(actual, expected);
+      if (!actual.has_value()) continue;
+      ++fired[static_cast<std::size_t>(*actual)];
+      engine.resolve_pending(rng.flip(0.15) ? CancelToken::expired()
+                                            : CancelToken{});
+      if (engine.windows().back().ok) pending = 0;
+    }
+  }
+  EXPECT_GT(fired[static_cast<std::size_t>(TriggerKind::kQuotaRepair)], 0u);
+  EXPECT_GT(fired[static_cast<std::size_t>(TriggerKind::kStepCount)], 0u);
+  EXPECT_GT(fired[static_cast<std::size_t>(TriggerKind::kDemandSpike)], 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(StreamingTriggers, RentOrBuyFiresOnAForcedRefit) {

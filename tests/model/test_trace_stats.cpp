@@ -88,45 +88,51 @@ TEST(TraceStats, OutOfBoundsRangesThrow) {
   EXPECT_THROW((void)stats.max_private_demand(4, 6), PreconditionError);
 }
 
-TEST(MultiTaskTraceStats, DemandSumsMatchManualAccumulation) {
-  Xoshiro256 rng(0xAB);
-  MultiTaskTrace trace;
-  for (std::size_t j = 0; j < 3; ++j) {
-    trace.add_task(random_trace(10 + j, 12, 0.3, 4, rng));
-  }
-  const MultiTaskTraceStats stats(trace);
-  ASSERT_TRUE(stats.synchronized());
-  ASSERT_EQ(stats.task_count(), 3u);
-  for (std::size_t i = 0; i < 12; ++i) {
-    std::uint64_t sum = 0;
-    for (std::size_t j = 0; j < 3; ++j) {
-      sum += trace.task(j).at(i).private_demand;
-    }
-    EXPECT_EQ(stats.step_demand_sum(i), sum);
-  }
-  for (std::size_t lo = 0; lo <= 12; ++lo) {
-    for (std::size_t hi = lo; hi <= 12; ++hi) {
-      std::uint64_t expected = 0;
-      for (std::size_t i = lo; i < hi; ++i) {
-        expected = std::max(expected, stats.step_demand_sum(i));
+TEST(TraceStats, EqualityComparesEveryRow) {
+  const std::size_t universe = 64;
+  Xoshiro256 rng(0xB17);
+  const TaskTrace trace = random_trace(universe, 40, 0.15, 5, rng);
+  const TaskTraceStats built(trace);
+  EXPECT_TRUE(built == TaskTraceStats(trace));
+
+  // One bit or one demand anywhere in the trace changes some row.
+  for (const std::size_t step : {0ul, 17ul, 39ul}) {
+    TaskTrace bit_flipped(universe);
+    TaskTrace demand_bumped(universe);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      ContextRequirement req = trace.at(i);
+      ContextRequirement bumped = req;
+      if (i == step) {
+        if (req.local.test(5)) {
+          req.local.reset(5);
+        } else {
+          req.local.set(5);
+        }
+        bumped.private_demand += 1;
       }
-      EXPECT_EQ(stats.max_step_demand_sum(lo, hi), expected);
+      bit_flipped.push_back(std::move(req));
+      demand_bumped.push_back(std::move(bumped));
     }
+    EXPECT_FALSE(built == TaskTraceStats(bit_flipped)) << "step " << step;
+    EXPECT_FALSE(built == TaskTraceStats(demand_bumped)) << "step " << step;
   }
+  // Same rows over a different universe, or a prefix, are different tables.
+  EXPECT_FALSE(TaskTraceStats(TaskTrace(3)) == TaskTraceStats(TaskTrace(4)));
+  EXPECT_FALSE(built == TaskTraceStats(trace.slice(0, 39)));
 }
 
-TEST(MultiTaskTraceStats, NonSynchronizedTracesSkipDemandSums) {
+TEST(MultiTaskTraceStats, NonSynchronizedTracesBuildPerTaskTables) {
   Xoshiro256 rng(0xCD);
   MultiTaskTrace trace;
   trace.add_task(random_trace(4, 3, 0.5, 2, rng));
   trace.add_task(random_trace(4, 5, 0.5, 2, rng));
   const MultiTaskTraceStats stats(trace);
-  EXPECT_FALSE(stats.synchronized());
-  EXPECT_THROW((void)stats.step_demand_sum(0), PreconditionError);
-  EXPECT_THROW((void)stats.max_step_demand_sum(0, 1), PreconditionError);
-  // Per-task views still work.
+  ASSERT_EQ(stats.task_count(), 2u);
+  EXPECT_EQ(stats.task(0).steps(), 3u);
   EXPECT_EQ(stats.task(1).local_union(0, 5),
             trace.task(1).local_union_naive(0, 5));
+  EXPECT_EQ(stats.task(1).max_private_demand(1, 5),
+            trace.task(1).max_private_demand_naive(1, 5));
 }
 
 TEST(SolveInstance, ValidatesAndExposesTheTriple) {

@@ -1,16 +1,15 @@
 // Streaming-vs-offline property fuzz: 200 seeded grow-a-trace scenarios
-// across every workload family and the word-seam universes.  For each
+// across every workload family and the word-seam universes, each under
+// task-sequential and task-parallel reconfiguration upload.  For each
 // scenario the streaming engine ingests the trace step-by-step and must
 //
-//   * keep its appended stats equal to a fresh build at EVERY appended
-//     step (MultiTaskTraceStats::operator== compares every sparse-table row
-//     and demand sum),
+//   * hold exactly the steps appended so far,
 //   * publish a schedule that validates over everything seen so far,
-//   * price it on those live stats exactly as the offline evaluator does on
-//     freshly built tables: a re-solve's published cost, and between
-//     re-solves current_solution()'s whole breakdown (odd seeds run
-//     private-global machines, so the quota check on the live view is
-//     covered too), and
+//   * price it from its last splice seam exactly as the offline evaluator
+//     prices it over the whole trace: a re-solve's published cost, and
+//     between re-solves current_solution()'s whole breakdown (odd seeds run
+//     private-global machines, so the quota check of a walk resumed at a
+//     seam is covered too), and
 //   * finish with a spliced schedule whose cost is within a bounded factor
 //     of the offline portfolio solve (same members) on the same final trace.
 #include <gtest/gtest.h>
@@ -39,8 +38,8 @@ constexpr std::size_t kEverySteps = 4;
 constexpr double kCostFactor = 3.0;
 
 /// Scenario trace: a fresh multi-task trace of `family`, with a private
-/// demand ramp added on odd seeds so the demand-sum tables and the
-/// private-global machinery get fuzzed too.
+/// demand ramp added on odd seeds so the private-global machinery gets
+/// fuzzed too.
 struct Scenario {
   MultiTaskTrace trace;
   MachineSpec machine;
@@ -70,70 +69,79 @@ Scenario make_scenario(const std::string& family, std::size_t universe,
   return scenario;
 }
 
+/// Streams one scenario step by step under `options` and checks it as the
+/// header describes.
+void check_scenario(const Scenario& scenario, const EvalOptions& options) {
+  const std::size_t steps = scenario.trace.steps();
+  StreamingConfig config;
+  config.window = kWindow;
+  config.trigger.every_steps = kEverySteps;
+  config.portfolio.solvers = {"aligned-dp", "greedy-w8"};
+  StreamingEngine engine(scenario.machine, options, config);
+
+  for (std::size_t i = 0; i < steps; ++i) {
+    const bool resolved = engine.append_step(scenario.trace.step(i));
+    ASSERT_EQ(engine.steps(), i + 1);
+    // The published schedule must cover and validate [0, i].
+    ASSERT_NO_THROW(engine.schedule().validate(kTasks, i + 1))
+        << "step " << i;
+    const CostBreakdown fresh = evaluate_fully_sync_switch(
+        engine.trace(), scenario.machine, engine.schedule(), options);
+    if (resolved) {
+      const WindowReport& window = engine.windows().back();
+      ASSERT_TRUE(window.ok) << window.error;
+      ASSERT_EQ(window.published_cost, fresh.total) << "step " << i;
+    } else {
+      const CostBreakdown live = engine.current_solution().breakdown;
+      ASSERT_EQ(live.total, fresh.total) << "step " << i;
+      ASSERT_EQ(live.hyper, fresh.hyper) << "step " << i;
+      ASSERT_EQ(live.reconfig, fresh.reconfig) << "step " << i;
+      ASSERT_EQ(live.global_hyper, fresh.global_hyper) << "step " << i;
+      ASSERT_EQ(live.partial_hyper_steps, fresh.partial_hyper_steps)
+          << "step " << i;
+    }
+  }
+  engine.flush();
+  for (const WindowReport& window : engine.windows()) {
+    ASSERT_TRUE(window.ok) << window.error;
+  }
+
+  const MTSolution streamed = engine.current_solution();
+  ASSERT_NO_THROW(streamed.schedule.validate(kTasks, steps));
+
+  engine::PortfolioConfig offline;
+  offline.solvers = {"aligned-dp", "greedy-w8"};
+  offline.parallel = false;
+  const engine::PortfolioResult reference = engine::solve_portfolio(
+      SolveInstance(scenario.trace, scenario.machine, options), offline);
+  EXPECT_LE(static_cast<double>(streamed.total()),
+            kCostFactor * static_cast<double>(reference.best.total()))
+      << "stream " << streamed.total() << " vs offline "
+      << reference.best.total();
+}
+
 TEST(StreamingVsOffline, FuzzedGrowingTracesStayConsistentAndCostBounded) {
   const std::vector<std::size_t> universes = {8, 63, 64, 65};
   std::size_t scenarios = 0;
-  for (const std::string& family : workload::family_names()) {
-    for (const std::size_t universe : universes) {
-      for (std::uint64_t seed = 0; seed < 10; ++seed) {
-        SCOPED_TRACE(family + "/u" + std::to_string(universe) + "/s" +
-                     std::to_string(seed));
-        const Scenario scenario = make_scenario(family, universe, seed);
-        const std::size_t steps = scenario.trace.steps();
-
-        StreamingConfig config;
-        config.window = kWindow;
-        config.trigger.every_steps = kEverySteps;
-        config.portfolio.solvers = {"aligned-dp", "greedy-w8"};
-        StreamingEngine engine(scenario.machine, EvalOptions{}, config);
-
-        for (std::size_t i = 0; i < steps; ++i) {
-          const bool resolved = engine.append_step(scenario.trace.step(i));
-          // The appended stats must equal a from-scratch build after every
-          // single append.
-          ASSERT_TRUE(engine.stats() == MultiTaskTraceStats(engine.trace()))
-              << "step " << i;
-          // The published schedule must cover and validate [0, i].
-          ASSERT_NO_THROW(engine.schedule().validate(kTasks, i + 1))
-              << "step " << i;
-          const CostBreakdown fresh = evaluate_fully_sync_switch(
-              engine.trace(), scenario.machine, engine.schedule());
-          if (resolved) {
-            const WindowReport& window = engine.windows().back();
-            ASSERT_TRUE(window.ok) << window.error;
-            ASSERT_EQ(window.published_cost, fresh.total) << "step " << i;
-          } else {
-            const CostBreakdown live = engine.current_solution().breakdown;
-            ASSERT_EQ(live.total, fresh.total) << "step " << i;
-            ASSERT_EQ(live.hyper, fresh.hyper) << "step " << i;
-            ASSERT_EQ(live.reconfig, fresh.reconfig) << "step " << i;
-            ASSERT_EQ(live.global_hyper, fresh.global_hyper) << "step " << i;
-            ASSERT_EQ(live.partial_hyper_steps, fresh.partial_hyper_steps)
-                << "step " << i;
-          }
+  for (const UploadMode reconfig :
+       {UploadMode::kTaskSequential, UploadMode::kTaskParallel}) {
+    EvalOptions options;
+    options.reconfig_upload = reconfig;
+    for (const std::string& family : workload::family_names()) {
+      for (const std::size_t universe : universes) {
+        for (std::uint64_t seed = 0; seed < 10; ++seed) {
+          SCOPED_TRACE(family + "/u" + std::to_string(universe) + "/s" +
+                       std::to_string(seed) + "/reconfig " +
+                       (reconfig == UploadMode::kTaskParallel ? "par"
+                                                              : "seq"));
+          check_scenario(make_scenario(family, universe, seed), options);
+          if (HasFatalFailure()) return;
+          ++scenarios;
         }
-        engine.flush();
-        for (const WindowReport& window : engine.windows()) {
-          ASSERT_TRUE(window.ok) << window.error;
-        }
-
-        const MTSolution streamed = engine.current_solution();
-        ASSERT_NO_THROW(streamed.schedule.validate(kTasks, steps));
-
-        engine::PortfolioConfig offline;
-        offline.solvers = {"aligned-dp", "greedy-w8"};
-        offline.parallel = false;
-        const engine::PortfolioResult reference = engine::solve_portfolio(
-            SolveInstance(scenario.trace, scenario.machine), offline);
-        EXPECT_LE(static_cast<double>(streamed.total()),
-                  kCostFactor * static_cast<double>(reference.best.total()))
-            << "stream " << streamed.total() << " vs offline "
-            << reference.best.total();
-        ++scenarios;
       }
     }
   }
-  EXPECT_EQ(scenarios, 200u);
+  EXPECT_EQ(scenarios, 400u);
 }
 
 }  // namespace

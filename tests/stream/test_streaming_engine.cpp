@@ -1,10 +1,12 @@
 // StreamingEngine: published-schedule validity at every step, window
-// splicing (frozen prefix + fresh suffix), warm starts, cache integration,
-// and the BatchEngine streaming-replay plumbing.
+// splicing (frozen prefix + fresh suffix), failed windows that leave the
+// stream as it was, pricing from the last seam under changeover, warm
+// starts, cache integration, and the BatchEngine streaming-replay plumbing.
 #include "streaming/streaming_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "engine/batch_engine.hpp"
@@ -195,6 +197,140 @@ TEST(StreamingEngine, RejectsBadStepsAndConfigs) {
                                    ContextRequirement{DynamicBitset(4), 0}}),
                PreconditionError);
   EXPECT_THROW(engine.current_solution(), PreconditionError);
+}
+
+TEST(StreamingEngine, FailedWindowLeavesTheStreamAsWithoutTheAttempt) {
+  // Stream `a` makes extra flush attempts under a cancelled token; stream
+  // `b` never does.  Each failed attempt must leave the published schedule
+  // and current_solution() as they were, and every later successful
+  // re-solve must publish exactly what `b` publishes at the same step.
+  const std::size_t tasks = 2;
+  const std::size_t universe = 12;
+  Xoshiro256 rng(0xFA11);
+  const MultiTaskTrace trace =
+      workload::make_multi_family("random-walk", tasks, 48, universe, rng);
+  const MachineSpec machine =
+      MachineSpec::local_only(std::vector<std::size_t>(tasks, universe));
+  StreamingEngine a(machine, EvalOptions{}, fast_config(8, 5));
+  StreamingEngine b(machine, EvalOptions{}, fast_config(8, 5));
+
+  std::size_t failed = 0;
+  for (std::size_t i = 0; i < trace.steps(); ++i) {
+    if (a.append_step_deferred(trace.step(i)).has_value()) {
+      a.resolve_pending(CancelToken{});
+    }
+    const bool b_solved = b.append_step(trace.step(i));
+    if (i % 7 == 3 && a.request_flush().has_value()) {
+      const MultiTaskSchedule schedule = a.schedule();
+      const CostBreakdown before = a.current_solution().breakdown;
+      a.resolve_pending(CancelToken::expired());
+      ASSERT_FALSE(a.windows().back().ok);
+      ++failed;
+      for (std::size_t j = 0; j < tasks; ++j) {
+        ASSERT_EQ(a.schedule().tasks[j].starts(), schedule.tasks[j].starts());
+        ASSERT_EQ(a.schedule().tasks[j].n(), schedule.tasks[j].n());
+      }
+      const CostBreakdown after = a.current_solution().breakdown;
+      ASSERT_EQ(after.total, before.total) << "step " << i;
+      ASSERT_EQ(after.hyper, before.hyper) << "step " << i;
+      ASSERT_EQ(after.reconfig, before.reconfig) << "step " << i;
+      ASSERT_EQ(after.partial_hyper_steps, before.partial_hyper_steps);
+    }
+    if (b_solved) {
+      ASSERT_TRUE(a.windows().back().ok) << "step " << i;
+      ASSERT_EQ(a.windows().back().published_cost,
+                b.windows().back().published_cost)
+          << "step " << i;
+    }
+    for (std::size_t j = 0; j < tasks; ++j) {
+      ASSERT_EQ(a.schedule().tasks[j].starts(), b.schedule().tasks[j].starts())
+          << "step " << i;
+    }
+    ASSERT_EQ(a.current_solution().total(), b.current_solution().total());
+  }
+  EXPECT_GE(failed, 4u);
+  EXPECT_EQ(a.resolve_count(), b.resolve_count() + failed);
+}
+
+TEST(StreamingEngine, SpliceThatFailsToPriceRestoresThePublishedSchedule) {
+  // Two tasks over a 2-unit pool, window 2: steps 0–3 demand (2, 0), steps
+  // 4+ demand (0, 2).  The quota repairs at steps 4–6 run under a
+  // cancelled token and fail before the splice; the one at step 7 solves
+  // its window [6, 8) fine, but the spliced schedule's block [0, 6) holds
+  // both phases and overflows the pool.  That throw comes while pricing,
+  // after the in-place edit, which must be undone.
+  StreamingConfig config = fast_config(2, 0);
+  MachineSpec machine = MachineSpec::local_only({4, 4});
+  machine.private_global_units = 2;
+  machine.global_init = 3;
+  StreamingEngine engine(machine, EvalOptions{}, config);
+  const auto step = [](std::uint32_t d0, std::uint32_t d1) {
+    ContextRequirement a{DynamicBitset(4), d0};
+    ContextRequirement b{DynamicBitset(4), d1};
+    a.local.set(0);
+    b.local.set(1);
+    return std::vector<ContextRequirement>{a, b};
+  };
+  for (std::size_t i = 0; i < 7; ++i) {
+    const std::optional<TriggerKind> fired =
+        engine.append_step_deferred(i < 4 ? step(2, 0) : step(0, 2));
+    ASSERT_EQ(fired.has_value(), i == 0 || i >= 4) << "step " << i;
+    if (fired.has_value()) {
+      engine.resolve_pending(i == 0 ? CancelToken{} : CancelToken::expired());
+    }
+  }
+  ASSERT_EQ(engine.append_step_deferred(step(0, 2)),
+            TriggerKind::kQuotaRepair);
+  const MultiTaskSchedule before = engine.schedule();
+  EXPECT_THROW((void)engine.current_solution(), PreconditionError);
+
+  engine.resolve_pending(CancelToken{});
+  const WindowReport& window = engine.windows().back();
+  EXPECT_FALSE(window.ok);
+  EXPECT_NE(window.error.find("private-global demand"), std::string::npos)
+      << window.error;
+  EXPECT_EQ(window.window_lo, 6u);
+  for (std::size_t j = 0; j < 2; ++j) {
+    EXPECT_EQ(engine.schedule().tasks[j].starts(), before.tasks[j].starts());
+    EXPECT_EQ(engine.schedule().tasks[j].n(), 8u);
+  }
+  EXPECT_EQ(engine.schedule().global_boundaries, before.global_boundaries);
+  EXPECT_THROW((void)engine.current_solution(), PreconditionError);
+}
+
+TEST(StreamingEngine, ChangeoverStreamsPriceFromTheirLastSeam) {
+  // Under changeover a seam carries every task's hypercontext into the
+  // next interval's difference term: each published cost and each
+  // between-re-solve breakdown must equal the one-shot evaluator's.
+  const std::size_t tasks = 3;
+  const std::size_t universe = 20;
+  Xoshiro256 rng(0xC4A6);
+  const MultiTaskTrace trace =
+      workload::make_multi_family("phased", tasks, 60, universe, rng);
+  const MachineSpec machine =
+      MachineSpec::local_only(std::vector<std::size_t>(tasks, universe));
+  for (const UploadMode hyper :
+       {UploadMode::kTaskParallel, UploadMode::kTaskSequential}) {
+    const EvalOptions options{hyper, UploadMode::kTaskSequential, true};
+    StreamingConfig config = fast_config(9, 4);
+    config.portfolio.solvers = {"greedy-w8"};
+    StreamingEngine engine(machine, options, config);
+    for (std::size_t i = 0; i < trace.steps(); ++i) {
+      const bool solved = engine.append_step(trace.step(i));
+      const CostBreakdown fresh = evaluate_fully_sync_switch(
+          engine.trace(), machine, engine.schedule(), options);
+      if (solved) {
+        ASSERT_TRUE(engine.windows().back().ok)
+            << engine.windows().back().error;
+        ASSERT_EQ(engine.windows().back().published_cost, fresh.total)
+            << "step " << i;
+      }
+      const CostBreakdown live = engine.current_solution().breakdown;
+      ASSERT_EQ(live.total, fresh.total) << "step " << i;
+      ASSERT_EQ(live.hyper, fresh.hyper) << "step " << i;
+    }
+    EXPECT_GE(engine.resolve_count(), 10u);
+  }
 }
 
 TEST(StreamingEngine, RejectsAMachineWithNoTasks) {

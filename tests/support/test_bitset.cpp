@@ -11,7 +11,6 @@ TEST(DynamicBitset, DefaultConstructedIsEmpty) {
   DynamicBitset bits;
   EXPECT_EQ(bits.size(), 0u);
   EXPECT_EQ(bits.count(), 0u);
-  EXPECT_TRUE(bits.none());
 }
 
 TEST(DynamicBitset, SizedConstructionStartsClear) {
@@ -72,7 +71,7 @@ TEST(DynamicBitset, SetRangeEmptyAtEveryWordEdge) {
   for (const std::size_t pos : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 200u}) {
     bits.set_range(pos, pos);
   }
-  EXPECT_TRUE(bits.none());
+  EXPECT_EQ(bits.count(), 0u);
 }
 
 TEST(DynamicBitset, SetRangeWithinOneWord) {
@@ -141,7 +140,7 @@ TEST(DynamicBitset, ResetAllClearsEverything) {
   DynamicBitset bits(90);
   bits.set_range(0, 90);
   bits.reset_all();
-  EXPECT_TRUE(bits.none());
+  EXPECT_EQ(bits.count(), 0u);
 }
 
 TEST(DynamicBitset, UnionOperator) {
@@ -235,7 +234,6 @@ TEST(DynamicBitset, FromStringEmptyStringYieldsEmptyUniverse) {
   const auto bits = DynamicBitset::from_string("");
   EXPECT_EQ(bits.size(), 0u);
   EXPECT_EQ(bits.count(), 0u);
-  EXPECT_TRUE(bits.none());
   EXPECT_EQ(bits.to_string(), "");
 }
 
@@ -258,13 +256,6 @@ TEST(DynamicBitset, EqualityComparesSizeAndBits) {
   auto c = DynamicBitset::from_string("1010");
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a == c);
-}
-
-TEST(DynamicBitset, HashDistinguishesTypicalSets) {
-  auto a = DynamicBitset::from_string("1010");
-  auto b = DynamicBitset::from_string("0101");
-  EXPECT_NE(a.hash(), b.hash());
-  EXPECT_EQ(a.hash(), DynamicBitset::from_string("1010").hash());
 }
 
 TEST(DynamicBitset, RandomizedUnionCountAgreesWithMaterialisedUnion) {
