@@ -13,7 +13,7 @@
 //     each.  The exit status is nonzero when the 8192-step stream's
 //     re-solve costs more than 2x the 512-step one's on any family, so the
 //     --smoke ctest registration doubles as a regression gate (a walk over
-//     the whole history reads 7-13x here).
+//     the whole history reads 5-10x here).
 //
 //   * phase 2 (informative): per workload family, a full streaming replay
 //     (window + step-count trigger, fast portfolio) against the offline
